@@ -52,6 +52,11 @@ def _recursion_window(params: ParamSet, bound):
 def check_recursion(params: ParamSet, bound=None) -> AdmissibilityReport:
     """Verify sum_j a_j omega_{j+l} = 0 for 0 <= l <= bound."""
     _require_degenerate(params)
+    return _recursion_report(params, bound)
+
+
+def _recursion_report(params: ParamSet, bound) -> AdmissibilityReport:
+    """The recursion check itself; the same for both kinds of data."""
     bound = _recursion_window(params, bound)
     acoeffs = _acoeffs(params)
     om = params.omega.prefix

@@ -31,7 +31,7 @@ from .omega import (OmegaSeq, ParamSet, ParameterError, RXFunctions,
                     wplus_ratfunc)
 from .report import AdmissibilityReport, Witness, single
 from .sampling import random_element
-from .adm_degenerate import DEFAULT_RECURSION_BOUND, HarnessReport
+from .adm_degenerate import HarnessReport, _recursion_report
 from .univar import Series
 
 __all__ = ["RXFunctions", "rx_functions", "wy_bracket_sums", "check_recursion",
@@ -68,26 +68,7 @@ def wy_bracket_sums(acoeffs, ell, r):
 
 def check_recursion(params: ParamSet, bound=None) -> AdmissibilityReport:
     """Verify sum_j a_j omega_{j+l} = 0 for 0 <= l <= bound."""
-    r = params.r
-    available = len(params.omega) - r - 1
-    if available < 0 or (bound is not None and available < bound):
-        need = r + (bound if bound is not None else 0) + 1
-        raise ParameterError(
-            f"insufficient prefix: need at least {need} coefficients, "
-            f"have {len(params.omega)}")
-    if bound is None:
-        bound = min(DEFAULT_RECURSION_BOUND, available)
-    acoeffs = symfun.char_poly_coeffs(list(params.u))
-    om = params.omega.prefix
-    zero = params.field.zero
-    for ell in range(bound + 1):
-        acc = zero
-        for j, aj in enumerate(acoeffs):
-            acc = acc + aj * om[j + ell]
-        if acc:
-            return single("recursion", False,
-                          Witness("recursion", ell, acc, zero))
-    return single("recursion", True)
+    return _recursion_report(params, bound)
 
 
 def wilcox_yu_check(params: ParamSet, bound=None) -> AdmissibilityReport:

@@ -338,7 +338,7 @@ def enumerate_regular(n: int, bound: int) -> Iterator[RegularMonomial]:
 
 
 def count_regular(n: int, bound: int) -> int:
-    return bound ** n * _double_factorial_odd(n)
+    return bound ** n * double_factorial_odd(n)
 
 
 def enumerate_ideal_spanning(n: int, bound: int) -> Iterator[IndexedSpanningElement]:
@@ -357,10 +357,11 @@ def enumerate_ideal_spanning(n: int, bound: int) -> Iterator[IndexedSpanningElem
 
 
 def count_ideal_spanning(n: int, bound: int) -> int:
-    return bound ** n * (_double_factorial_odd(n) - math.factorial(n))
+    return bound ** n * (double_factorial_odd(n) - math.factorial(n))
 
 
-def _double_factorial_odd(n: int) -> int:
+def double_factorial_odd(n: int) -> int:
+    """(2n-1)!! = 1 * 3 * ... * (2n-1); the number of pairings of 2n points."""
     out = 1
     for k in range(1, n + 1):
         out *= 2 * k - 1

@@ -25,6 +25,7 @@ from typing import Optional, Tuple
 
 from . import symfun
 from .adm_nondegenerate import rui_xu_check
+from .diagrams import double_factorial_odd
 from .omega import OmegaSeq, ParamSet, ParameterError
 
 SUBSET_SEARCH_R_CAP = 8
@@ -139,14 +140,6 @@ def construct_example(field, d, base, extra, order=None) -> ParamSet:
     closure = tuple(symfun.char_poly_coeffs(base)[:d])
     seq = OmegaSeq(field, tuple(prefix), closure)
     return ParamSet("degenerate", field, tuple(roots), seq)
-
-
-def double_factorial_odd(n: int) -> int:
-    """(2n-1)!! = 1 * 3 * ... * (2n-1); the number of pairings of 2n points."""
-    out = 1
-    for k in range(1, n + 1):
-        out *= 2 * k - 1
-    return out
 
 
 def b_prime(n: int) -> int:

@@ -15,6 +15,10 @@ eta and H have integer coefficients, which is asserted rather than assumed.
 
 All builders accept either MPoly variables (symbolic mode) or field elements
 (evaluated mode).  Symbolic results are cached and must not be mutated.
+
+Every q_a, q_a / 2 and eta_a, evaluated in any characteristic or symbolic,
+comes from the integer polynomials h_a = q_a / 2 (a >= 1), computed by one
+integral long division in O(r N) ring operations (``_half_q_series``).
 """
 
 from __future__ import annotations
@@ -25,17 +29,9 @@ from functools import lru_cache
 from .mpoly import MPoly
 from .univar import Series
 
+# size guards of the cached symbolic builders (the polynomials grow fast)
 SYMBOLIC_R_CAP = 6
 SYMBOLIC_A_CAP = 24
-
-
-def set_symbolic_caps(r_cap=None, a_cap=None):
-    """Raise or lower the symbolic-mode size guards (polynomials grow fast)."""
-    global SYMBOLIC_R_CAP, SYMBOLIC_A_CAP
-    if r_cap is not None:
-        SYMBOLIC_R_CAP = r_cap
-    if a_cap is not None:
-        SYMBOLIC_A_CAP = a_cap
 
 
 class IntegralityError(ArithmeticError):
@@ -107,22 +103,35 @@ def _poly_from_negated_roots(xs):
     return coeffs
 
 
-def schur_q_series(xs, order) -> Series:
-    """Truncated series sum_{a<=order} q_a(x) t^a.
+def _half_q_series(xs, order):
+    """Coefficients [0, h_1, ..., h_order] of sum_{a>=1} h_a s^a, h_a = q_a / 2.
 
-    Each factor (1 + x t)/(1 - x t) expands as 1 + 2xt + 2x^2 t^2 + ...;
-    the product is carried out by exact truncated multiplication.
+    prod (1 + x s) - prod (1 - x s) = 2 sum_{k odd} eps_k s^k, hence
+
+        sum_{a>=1} h_a s^a = (sum_{k odd} eps_k s^k) / prod (1 - x s).
+
+    The denominator has constant term 1, so this long division is integral:
+    it runs over any ring, MPoly or field of any characteristic, with
+    O(r * order) multiplications.
     """
-    one = _one_like(xs[0])
-    acc = Series([one] + [one * 0] * order)
-    for x in xs:
-        factor = [one]
-        pw = one
-        for _ in range(order):
-            pw = pw * x
-            factor.append(pw + pw)
-        acc = acc * Series(factor)
-    return acc
+    r = len(xs)
+    eps = _poly_from_negated_roots(xs)[::-1]  # eps[k] = eps_k(x)
+    zero = eps[0] * 0
+    h = [zero] * (order + 1)
+    for n in range(1, order + 1):
+        acc = eps[n] if n <= r and n % 2 == 1 else zero
+        # h_n -= sum_k (-1)^k eps_k h_{n-k}; h_0 = 0 drops the k = n term
+        for k in range(1, min(n - 1, r) + 1):
+            term = eps[k] * h[n - k]
+            acc = acc + term if k % 2 == 1 else acc - term
+        h[n] = acc
+    return h
+
+
+def schur_q_series(xs, order) -> Series:
+    """Truncated series sum_{a<=order} q_a(x) t^a, with q_0 = 1, q_a = 2 h_a."""
+    h = _half_q_series(xs, order)
+    return Series([_one_like(xs[0])] + [v + v for v in h[1:]])
 
 
 def schur_q(a, xs):
@@ -135,7 +144,9 @@ def schur_q(a, xs):
 @lru_cache(maxsize=None)
 def schur_q_poly(a: int, r: int) -> MPoly:
     _check_caps(max(a - 1, 0), r)  # eta at the cap needs q one index above
-    return schur_q(a, MPoly.variables(r))
+    if a == 0:
+        return MPoly.const(r, 1)
+    return _half_q_symbolic(a, r).scaled(2)
 
 
 @lru_cache(maxsize=None)
@@ -144,18 +155,32 @@ def half_q_poly(a: int, r: int) -> MPoly:
     if a < 1:
         raise IndexError("q_0 / 2 = 1/2 is not an integer polynomial")
     _check_caps(a, r)
-    return schur_q_poly(a, r).exact_div(2)
+    return _half_q_symbolic(a, r)
+
+
+def _half_q_symbolic(a, r):
+    # divide to the next power of two (at least 8, at most the cap), so that
+    # asking for a = 1, 2, ... in turn costs about one division, not one each
+    order = min(max(8, 1 << (a - 1).bit_length()), SYMBOLIC_A_CAP + 1)
+    return _half_q_polys(order, r)[a]
+
+
+@lru_cache(maxsize=None)
+def _half_q_polys(order: int, r: int):
+    return tuple(_half_q_series(MPoly.variables(r), order))
 
 
 def half_q(a, xs):
     """q_a / 2 as an integer polynomial, evaluated at xs if scalars are given.
 
-    Evaluation goes through the integer polynomial, so it is meaningful even
-    in characteristic 2 where q_a itself vanishes for a >= 1.
+    The value is that of the integer polynomial, so it is meaningful even in
+    characteristic 2 where q_a itself vanishes for a >= 1.
     """
     if _is_symbolic(xs):
         return half_q_poly(a, len(xs))
-    return half_q_poly(a, len(xs)).evaluate(xs[0].field, xs)
+    if a < 1:
+        raise IndexError("q_0 / 2 = 1/2 is not an integer polynomial")
+    return _half_q_series(xs, a)[a]
 
 
 @lru_cache(maxsize=None)
@@ -194,27 +219,22 @@ def eta(sign, a, xs):
 
 
 def eta_values(sign, us, order):
-    """The list eta_0^{+-}(u) .. eta_order^{+-}(u) in the field of the u's.
+    """The list eta_0^{+-}(u) .. eta_order^{+-}(u) in the ring of the u's.
 
-    In characteristic != 2 this evaluates the defining series directly; in
-    characteristic 2 it evaluates the cached integer polynomials, which is
-    where the integrality of eta earns its keep.
+    With c = +-(-1)^(r-1) and h_a = q_a / 2 (h_0 = 0), the definition reads
+    eta_a = 2 h_{a+1} + c h_a + [a = 0, c = +1]: integral, so it holds in
+    every characteristic, 2 included, and costs O(r * order).
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    field = us[0].field
-    r = len(us)
-    if field.char == 2:
-        return [eta_poly(sign, a, r).evaluate(field, us)
-                for a in range(order + 1)]
-    half = field(Fraction(1, 2))
-    c = half if (r - 1) % 2 == 0 else -half
-    if sign < 0:
-        c = -c
-    qs = schur_q_series(us, order + 1)
-    out = [qs[1] + c * qs[0] + half]
-    for a in range(1, order + 1):
-        out.append(qs[a + 1] + c * qs[a])
+    h = _half_q_series(us, order + 1)
+    c = sign * (-1) ** (len(us) - 1)
+    out = []
+    for a in range(order + 1):
+        twice = h[a + 1] + h[a + 1]
+        out.append(twice + h[a] if c > 0 else twice - h[a])
+    if c > 0:
+        out[0] = out[0] + _one_like(us[0])
     return out
 
 

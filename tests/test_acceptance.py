@@ -19,8 +19,9 @@ from bmwparam.diagrams import (count_ideal_spanning, enumerate_diagrams,
                                factorize, compose, BrauerDiagram)
 from bmwparam.fields import QQ, BinaryField, PrimeField
 from bmwparam.mpoly import MPoly
-from bmwparam.omega import (nondegenerate_params, omega_negative,
-                            verify_pm_identity, wminus_ratfunc, wplus_ratfunc)
+from bmwparam.omega import (degenerate_params, nondegenerate_params,
+                            omega_negative, verify_pm_identity, wminus_ratfunc,
+                            wplus_ratfunc)
 from bmwparam.rationality import affine_classify, char2_recover
 from bmwparam.semiadm import construct_example, detect, rank_formula
 from bmwparam.univar import RatFunc
@@ -232,3 +233,20 @@ def test_criterion_9_diagram_relations():
             rebuilt, loops = fac.recompose()
             assert rebuilt == gamma and loops == 0
     _finish("9 (diagram relations and factorization round trip)", started, 20)
+
+
+def test_budget_degenerate_params_gf256_r6_order200():
+    started = time.monotonic()
+    field = BinaryField(8)
+    us = [field.gen() ** e for e in (1, 17, 40, 99, 150, 254)]
+    ps = degenerate_params(field, us, order=200)
+    assert len(ps.omega) == 201 and ps.omega.order == 6
+    _finish("degenerate_params(GF(2^8), r=6, order=200)", started, 1)
+
+
+def test_budget_degenerate_params_qq_r6_order200():
+    started = time.monotonic()
+    us = [QQ(2), QQ(-3), QQ(Fraction(1, 2)), QQ(5), QQ(Fraction(-7, 3)), QQ(4)]
+    ps = degenerate_params(QQ, us, order=200)
+    assert len(ps.omega) == 201 and ps.omega.order == 6
+    _finish("degenerate_params(QQ, r=6, order=200)", started, 1)

@@ -2,10 +2,11 @@ import json
 
 import pytest
 
+from bmwparam import symfun
 from bmwparam.cli import main
-from bmwparam.paramfile import (ParamFileError, dump_params, load_paramfile,
-                                parse_paramfile)
-from bmwparam.fields import QQ
+from bmwparam.paramfile import (ParamFileError, dump_params, format_scalar,
+                                load_paramfile, parse_paramfile)
+from bmwparam.fields import QQ, BinaryField
 from bmwparam.omega import degenerate_params
 
 
@@ -228,3 +229,26 @@ def test_prefix_document_with_closure(tmp_path, capsys):
     doc["omega"]["closure"] = ["-3"]
     code, _, err = run(capsys, "check", "--file", write(tmp_path, doc))
     assert code == 2
+
+
+def test_long_char2_series_needs_no_symbolic_cap(tmp_path, capsys):
+    # GF(2^8), r = 6, order 200: far past the a <= 24 of the symbolic builders
+    u = [[1, 0, 1], [0, 1, 1, 0, 0, 0, 0, 1], [1, 1], [0, 0, 0, 0, 0, 0, 0, 1],
+         [1, 0, 0, 1], [0, 1]]
+    doc = {"kind": "degenerate", "field": {"type": "binary", "k": 8}, "u": u,
+           "omega": {"from_u": True, "order": 200}}
+    path = write(tmp_path, doc)
+    code, out, _ = run(capsys, "gen-omega", "--file", path, "--json")
+    assert code == 0
+    prefix = json.loads(out)["omega"]
+    assert len(prefix) == 201
+    code, out, _ = run(capsys, "check", "--file", path, "--json")
+    assert code == 0 and json.loads(out)["passed"] is True
+    # the printed prefix agrees with its closure (a violated closure exits 2)
+    params = load_paramfile(path).params
+    closure = symfun.char_poly_coeffs(list(params.u))[:len(u)]
+    doc["omega"] = {"prefix": prefix,
+                    "closure": [format_scalar(BinaryField(8), c) for c in closure]}
+    code, out, _ = run(capsys, "check", "--file", write(tmp_path, doc, "prefix.json"))
+    assert code == 0
+    assert "recursion: pass, relations: pass, u-admissible: pass" in out

@@ -1,11 +1,14 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bmwparam import symfun
-from bmwparam.fields import QQ, BinaryField, PrimeField
+from bmwparam.fields import QQ, BinaryField, FieldElement, PrimeField
 from bmwparam.mpoly import MPoly
+from bmwparam.univar import Series
 
 
 # ------------------------------------------------------------------ oracle
@@ -218,3 +221,158 @@ def test_eta_value_paths_agree_odd_characteristic():
         poly_route = [symfun.eta_poly(+1, a, len(us)).evaluate(F7, us)
                       for a in range(9)]
         assert series_route == poly_route
+
+
+# ------------------------------------------- long division against oracles
+# symfun evaluates h_a = q_a / 2 by one long division in the field of the
+# roots.  Two other routes: the product of r truncated factors
+# (1 + x t)/(1 - x t), run on a lift of the roots in characteristic 2, and
+# the evaluation of the integer polynomials q_a / 2 and eta_a (the latter
+# built from its definition over Q).
+
+def product_q_series(xs, order, one):
+    """q_0..q_order as r truncated products of
+    (1 + x t)/(1 - x t) = 1 + 2xt + 2x^2 t^2 + ...; O(r N^2)."""
+    acc = Series([one] + [one - one] * order)
+    for x in xs:
+        factor = [one]
+        pw = one
+        for _ in range(order):
+            pw = pw * x
+            factor.append(pw + pw)
+        acc = acc * Series(factor)
+    return acc
+
+
+class Z4Lift:
+    """An element of Z/4[x]/(M), M the integer lift of the modulus of a
+    characteristic-2 field F = GF(2)[x]/(m); GF(2) itself is the case k = 1.
+
+    Integer polynomials commute with the lift, and 2 P mod 4 determines
+    P mod 2, so the definitions, which need 1/2, can be run doubled on the
+    lifted roots here and read off in F.
+    """
+
+    __slots__ = ("field", "c")
+
+    def __init__(self, field, c):
+        self.field = field
+        self.c = tuple(v % 4 for v in c)
+
+    @classmethod
+    def lift(cls, x):
+        k = getattr(x.field, "k", 1)
+        return cls(x.field, [(x.raw >> i) & 1 for i in range(k)])
+
+    def __add__(self, other):
+        return Z4Lift(self.field, [a + b for a, b in zip(self.c, other.c)])
+
+    def __sub__(self, other):
+        return Z4Lift(self.field, [a - b for a, b in zip(self.c, other.c)])
+
+    def __mul__(self, other):
+        k = len(self.c)
+        prod = [0] * (2 * k - 1)
+        for i, a in enumerate(self.c):
+            for j, b in enumerate(other.c):
+                prod[i + j] += a * b
+        m = getattr(self.field, "modulus", 0)
+        for d in range(2 * k - 2, k - 1, -1):  # x^k = -(M - x^k)
+            top, prod[d] = prod[d], 0
+            for i in range(k):
+                if (m >> i) & 1:
+                    prod[d - k + i] -= top
+        return Z4Lift(self.field, prod[:k])
+
+    def halved(self):
+        """P in F, for this element 2 P."""
+        assert all(v % 2 == 0 for v in self.c), self.c
+        return FieldElement(self.field,
+                            sum((v // 2) << i for i, v in enumerate(self.c)))
+
+
+def product_route(us, order):
+    """h_1..h_{order+1} (index 0 unused) and eta_0^{+-}..eta_order^{+-} from
+    the product route and the definitions of q_a / 2 and eta_a."""
+    field = us[0].field
+    r = len(us)
+    if field.char == 2:
+        one = Z4Lift.lift(field.one)
+        qs = product_q_series([Z4Lift.lift(u) for u in us], order + 1, one)
+        halves = [None] + [qs[a].halved() for a in range(1, order + 2)]
+        etas = {}
+        for sign in (+1, -1):
+            c = sign * (-1) ** (r - 1)
+            # 2 eta_a = 2 q_{a+1} + c q_a + [a = 0]
+            twice = [qs[a + 1] + qs[a + 1] + (qs[a] if c > 0 else one - one - qs[a])
+                     for a in range(order + 1)]
+            twice[0] = twice[0] + one
+            etas[sign] = [v.halved() for v in twice]
+        return halves, etas
+    qs = product_q_series(us, order + 1, field.one)
+    half = field(Fraction(1, 2))
+    halves = [None] + [qs[a] * half for a in range(1, order + 2)]
+    etas = {}
+    for sign in (+1, -1):
+        c = half * (sign * (-1) ** (r - 1))
+        etas[sign] = [qs[a + 1] + c * qs[a] + (half if a == 0 else field.zero)
+                      for a in range(order + 1)]
+    return halves, etas
+
+
+ORACLE_FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(10007),
+                 BinaryField(8)]
+# the integer polynomials grow fast with r, and so does evaluating them:
+# check all a <= 24 for r <= 3, and fewer indices above
+POLY_ROUTE_A = {1: 24, 2: 24, 3: 24, 4: 12, 5: 8, 6: 6}
+
+
+def _roots(field, r, seed):
+    rng = random.Random(seed)
+    if field == QQ:
+        return [QQ(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+                for _ in range(r)]
+    return [FieldElement(field, rng.randrange(field.order)) for _ in range(r)]
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_long_division_matches_product_route(field, r):
+    order = 60
+    us = _roots(field, r, seed=1000 * r + 7)
+    halves, etas = product_route(us, order)
+    for sign in (+1, -1):
+        assert symfun.eta_values(sign, us, order) == etas[sign], sign
+    for a in range(1, order + 2):
+        assert symfun.half_q(a, us) == halves[a], a
+    assert symfun.schur_q_series(us, order) \
+        == product_q_series(us, order, field.one)
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_long_division_matches_integer_polynomials(field, r):
+    top = POLY_ROUTE_A[r]
+    us = _roots(field, r, seed=1000 * r + 11)
+    for sign in (+1, -1):
+        want = [symfun.eta_poly(sign, a, r).evaluate(field, us)
+                for a in range(top + 1)]
+        assert symfun.eta_values(sign, us, top) == want, sign
+    for a in range(1, top + 1):
+        assert symfun.half_q(a, us) == symfun.half_q_poly(a, r).evaluate(field, us)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORACLE_FIELDS), st.integers(1, 6),
+       st.sampled_from((+1, -1)), st.integers(0, 40), st.data())
+def test_long_division_random_roots(field, r, sign, order, data):
+    if field == QQ:
+        draw = st.fractions(-20, 20, max_denominator=9).map(QQ)
+    else:
+        draw = st.integers(0, field.order - 1).map(
+            lambda v: FieldElement(field, v))
+    us = data.draw(st.lists(draw, min_size=r, max_size=r))
+    halves, etas = product_route(us, order)
+    assert symfun.eta_values(sign, us, order) == etas[sign]
+    assert symfun.half_q(order + 1, us) == halves[order + 1]
+

@@ -4,9 +4,8 @@ detection, Brauer-diagram spanning counts, and the rationality
 classification for affine parameters."""
 
 from .fields import QQ, BinaryField, FieldElement, PrimeField, RationalField
-from .mpoly import MPoly, mpoly_eval
-from .univar import (PoleAtInfinityError, Poly, RatFunc, Series, SplitError,
-                     series_expand, substitute_inverse_t)
+from .mpoly import MPoly
+from .univar import PoleAtInfinityError, Poly, RatFunc, Series, SplitError
 from .symfun import (char_poly_coeffs, elem_sym, eta, eta_poly, eta_values,
                      half_q, power_sum, schur_q, schur_q_series, universal_H)
 from .omega import (OmegaSeq, ParamSet, ParameterError, RXFunctions,

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from . import symfun
-from .omega import OmegaSeq, ParamSet, ParameterError, degenerate_params
+from .omega import (OmegaSeq, ParamSet, ParameterError, degenerate_params,
+                    first_residue)
 from .report import AdmissibilityReport, Witness, single
 from .sampling import random_element
 
@@ -58,17 +59,11 @@ def check_recursion(params: ParamSet, bound=None) -> AdmissibilityReport:
 def _recursion_report(params: ParamSet, bound) -> AdmissibilityReport:
     """The recursion check itself; the same for both kinds of data."""
     bound = _recursion_window(params, bound)
-    acoeffs = _acoeffs(params)
-    om = params.omega.prefix
-    zero = params.field.zero
-    for ell in range(bound + 1):
-        acc = zero
-        for j, aj in enumerate(acoeffs):
-            acc = acc + aj * om[j + ell]
-        if acc:
-            return single("recursion", False,
-                          Witness("recursion", ell, acc, zero))
-    return single("recursion", True)
+    bad = first_residue(_acoeffs(params)[:-1], params.omega.prefix, bound + 1)
+    if bad is None:
+        return single("recursion", True)
+    return single("recursion", False,
+                  Witness("recursion", *bad, params.field.zero))
 
 
 def check_relations(params: ParamSet) -> AdmissibilityReport:

@@ -22,13 +22,14 @@ isolated in :func:`wy_bracket_sums` and unit-tested on their own.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import List
 
 from . import symfun
 from .omega import (OmegaSeq, ParamSet, ParameterError, RXFunctions,
-                    check_rho_constraint, nondegenerate_params, rx_functions,
-                    wplus_ratfunc)
+                    _ratfunc_report, _series_report, check_rho_constraint,
+                    nondegenerate_params, rx_functions, wplus_ratfunc)
 from .report import AdmissibilityReport, Witness, single
 from .sampling import random_element
 from .adm_degenerate import HarnessReport, _recursion_report
@@ -100,17 +101,14 @@ def wilcox_yu_check(params: ParamSet, bound=None) -> AdmissibilityReport:
     report = report.combined_with(
         single("wy-relations", relations_witness is None, relations_witness))
 
-    a0 = acoeffs[0]
-    if r % 2 == 1:
-        ok = params.rho == a0 or params.rho == -a0
-        expect = f"+-a_0 = +-({a0})"
-    else:
-        ok = params.rho == params.q.inverse() * a0 \
-            or params.rho == -(params.q * a0)
-        expect = f"q^-1 a_0 = {params.q.inverse() * a0} or -q a_0 = {-(params.q * a0)}"
-    rho_witness = None if ok else Witness("rho-constraint", "rho",
-                                          params.rho, expect)
-    return report.combined_with(single("rho-constraint", ok, rho_witness))
+    rho_witness = None
+    if check_rho_constraint(field, params.u, params.rho, params.q) is not None:
+        a0, q = acoeffs[0], params.q
+        expect = f"+-a_0 = +-({a0})" if r % 2 == 1 else \
+            f"q^-1 a_0 = {q.inverse() * a0} or -q a_0 = {-(q * a0)}"
+        rho_witness = Witness("rho-constraint", "rho", params.rho, expect)
+    return report.combined_with(
+        single("rho-constraint", rho_witness is None, rho_witness))
 
 
 def rui_xu_check(params: ParamSet, bound=None) -> AdmissibilityReport:
@@ -131,30 +129,16 @@ def rui_xu_check(params: ParamSet, bound=None) -> AdmissibilityReport:
     delta = params.q_minus_qinv()
     Z = rx_functions(field, params.u, params.rho, params.q).Z
     name = "generating-function"
+    last = len(params.omega) - 1
     if params.omega.closure is not None:
-        lhs = wplus_ratfunc(params.omega) * delta
-        if lhs == Z:
-            return single(name, True).combined_with(rho_report)
-        order = bound if bound is not None else len(params.omega) - 1
-        lhs_series = lhs.series_at_infinity(order)
-        z_series = Z.series_at_infinity(order)
-        idx = lhs_series.first_disagreement(z_series)
-        if idx is None:
-            witness = Witness(name, f"beyond order {order}", lhs, Z)
-        else:
-            witness = Witness(name, idx, lhs_series[idx], z_series[idx])
-        return single(name, False, witness).combined_with(rho_report)
-    if bound is None:
-        bound = len(params.omega) - 1
-    bound = min(bound, len(params.omega) - 1)
-    lhs_series = Series(params.omega.prefix[:bound + 1]).scaled(delta)
-    z_series = Z.series_at_infinity(bound)
-    idx = lhs_series.first_disagreement(z_series)
-    if idx is None:
-        return single(name, True).combined_with(rho_report)
-    return single(name, False,
-                  Witness(name, idx, lhs_series[idx], z_series[idx])) \
-        .combined_with(rho_report)
+        report = _ratfunc_report(name, wplus_ratfunc(params.omega) * delta, Z,
+                                 bound if bound is not None else last)
+    else:
+        bound = last if bound is None else min(bound, last)
+        report = _series_report(
+            name, Series(params.omega.prefix[:bound + 1]).scaled(delta),
+            Z.series_at_infinity(bound))
+    return report.combined_with(rho_report)
 
 
 def equivalence_harness_nondegenerate(fields, samples=100, seed=0, r_max=4,
@@ -174,10 +158,7 @@ def equivalence_harness_nondegenerate(fields, samples=100, seed=0, r_max=4,
             r = rng.randint(1, r_max)
             u = [random_element(field, rng, nonzero=True) for _ in range(r)]
             q = _random_q(field, rng)
-            prod_u = field.one
-            for x in u:
-                prod_u = prod_u * x
-            rho = _branch_rho(rng, r, prod_u, q)
+            rho = _branch_rho(rng, r, math.prod(u, start=field.one), q)
             honest = nondegenerate_params(field, u, rho, q,
                                           order=r + bound + 1)
             mode = rng.choice(("honest", "tampered", "wrong-rho", "noise"))
@@ -229,18 +210,15 @@ def _branch_rho(rng, r, prod_u, q):
 def _wrong_rho_variant(field, honest, rng):
     """A rho off the admissible branch but still satisfying the ground-ring
     relation with omega_0; returns None when no such rho exists."""
-    om0 = honest.omega.prefix[0]
-    q = honest.q
-    # rho^{-1} - rho = c with c = (q^{-1} - q)(omega_0 - 1):
-    # rho is a root of x^2 + c x - 1 = 0
-    c = (q.inverse() - q) * (om0 - field.one)
-    # the two roots multiply to -1; the honest rho is one of them
+    # the ground-ring relation makes rho a root of x^2 + c x - 1 with
+    # c = (q^{-1} - q)(omega_0 - 1); the roots multiply to -1, and the
+    # honest rho is one of them
     other = -(honest.rho.inverse())
     if other == honest.rho:
         return None
     seq = OmegaSeq(field, honest.omega.prefix)  # drop closure: exactness moot
     try:
         return ParamSet("nondegenerate", field, honest.u, seq,
-                        rho=other, q=q)
+                        rho=other, q=honest.q)
     except ParameterError:
         return None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -141,11 +142,11 @@ def cmd_counts(args):
     except ValueError as ex:
         print(str(ex), file=sys.stderr)
         return USAGE
-    dbl = semiadm.double_factorial_odd(n)
+    dbl = diagrams.double_factorial_odd(n)
     payload = {
         "n": n, "r": r, "d": d,
         "diagrams": dbl,
-        "diagrams_with_horizontal": semiadm.b_prime(n),
+        "diagrams_with_horizontal": diagrams.b_prime(n),
         "regular_monomials": diagrams.count_regular(n, r),
         "ideal_spanning": diagrams.count_ideal_spanning(n, d),
         "rank": rank,
@@ -276,6 +277,12 @@ def main(argv=None):
     except (ParamFileError, ParameterError, FieldCoercionError,
             semiadm.ConstraintError, FileNotFoundError, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
+        return USAGE
+    except BrokenPipeError:
+        # stdout's reader is gone: send the interpreter's final flush to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return USAGE
 
 

@@ -87,9 +87,6 @@ class BrauerDiagram:
         pairs += [(j, n + j) for j in range(2 * f, n)]
         return cls.from_pairs(n, pairs)
 
-    def is_bottom(self, v: int) -> bool:
-        return v < self.n
-
     def strands(self):
         return [(v, self.partner[v]) for v in range(2 * self.n)
                 if v < self.partner[v]]
@@ -115,14 +112,6 @@ class BrauerDiagram:
 
     def is_permutation(self) -> bool:
         return self.horizontal_count() == 0
-
-    def to_permutation(self):
-        if not self.is_permutation():
-            raise ValueError("diagram has horizontal strands")
-        perm = [0] * self.n
-        for b, t in self.vertical():
-            perm[b] = t
-        return tuple(perm)
 
     def __eq__(self, other):
         if not isinstance(other, BrauerDiagram):
@@ -357,7 +346,7 @@ def enumerate_ideal_spanning(n: int, bound: int) -> Iterator[IndexedSpanningElem
 
 
 def count_ideal_spanning(n: int, bound: int) -> int:
-    return bound ** n * (double_factorial_odd(n) - math.factorial(n))
+    return bound ** n * b_prime(n)
 
 
 def double_factorial_odd(n: int) -> int:
@@ -366,6 +355,11 @@ def double_factorial_odd(n: int) -> int:
     for k in range(1, n + 1):
         out *= 2 * k - 1
     return out
+
+
+def b_prime(n: int) -> int:
+    """Pairings of 2n points with at least one horizontal pair."""
+    return double_factorial_odd(n) - math.factorial(n)
 
 
 @dataclass(frozen=True)

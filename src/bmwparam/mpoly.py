@@ -166,7 +166,13 @@ class MPoly:
         if len(point) != self.nvars:
             raise ValueError(
                 f"need {self.nvars} values, got {len(point)}")
-        point = [field(x) for x in point]
+        # powers[i][k] = point[i]^k, built once for all terms
+        powers = []
+        for i, x in enumerate(point):
+            x, row = field(x), [field.one]
+            for _ in range(max((e[i] for e in self.terms), default=0)):
+                row.append(row[-1] * x)
+            powers.append(row)
         acc = field.zero
         for e, c in self.terms.items():
             fc = field(c if isinstance(c, int) else Fraction(c))
@@ -174,7 +180,7 @@ class MPoly:
                 continue
             for i, exp in enumerate(e):
                 if exp:
-                    fc = fc * point[i] ** exp
+                    fc = fc * powers[i][exp]
             acc = acc + fc
         return acc
 
@@ -192,8 +198,3 @@ class MPoly:
             else:
                 parts.append(str(c))
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def mpoly_eval(p: MPoly, field, point):
-    """Specialization Z[u_1..u_r] -> field at the given point."""
-    return p.evaluate(field, point)

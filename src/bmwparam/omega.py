@@ -18,6 +18,7 @@ Generation routes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
@@ -55,14 +56,11 @@ class OmegaSeq:
         object.__setattr__(self, "negative",
                            tuple(self.field(c) for c in self.negative))
         if self.closure is not None:
-            r = len(self.closure)
-            for ell in range(len(self.prefix) - r):
-                acc = self.prefix[r + ell]
-                for j, aj in enumerate(self.closure):
-                    acc = acc + aj * self.prefix[j + ell]
-                if acc:
-                    raise ParameterError(
-                        f"closure violated at l={ell}: residue {acc}")
+            bad = first_residue(self.closure, self.prefix,
+                                len(self.prefix) - len(self.closure))
+            if bad is not None:
+                raise ParameterError(
+                    f"closure violated at l={bad[0]}: residue {bad[1]}")
 
     @property
     def order(self) -> Optional[int]:
@@ -118,6 +116,20 @@ class OmegaSeq:
 
     def with_negative(self, negative) -> "OmegaSeq":
         return OmegaSeq(self.field, self.prefix, self.closure, tuple(negative))
+
+
+def first_residue(coeffs, values, count):
+    """First (l, residue) with l < count where the monic recursion
+    values[r+l] + sum_j coeffs[j] values[j+l] = 0 (r = len(coeffs)) leaves a
+    nonzero residue; None when it holds for every such l."""
+    r = len(coeffs)
+    for ell in range(count):
+        acc = values[r + ell]
+        for j, aj in enumerate(coeffs):
+            acc = acc + aj * values[j + ell]
+        if acc:
+            return ell, acc
+    return None
 
 
 @dataclass(frozen=True)
@@ -194,6 +206,13 @@ class RXFunctions(NamedTuple):
     Z: RatFunc
 
 
+def _g_ratfunc(field, u) -> RatFunc:
+    """G(t) = prod (t - u_l)/(t u_l - 1)."""
+    den = math.prod((Poly(field, (-field.one, ul)) for ul in u),
+                    start=Poly.one(field))
+    return RatFunc(Poly.from_roots(field, u), den)
+
+
 def rx_functions(field, u, rho, q) -> RXFunctions:
     """G(t) = prod (t - u_l)/(t u_l - 1); Z(t) = -rho^{-1}
     + (q - q^{-1}) t^2/(t^2-1) + A(t) G(t^{-1}), with the odd/even branch
@@ -206,19 +225,11 @@ def rx_functions(field, u, rho, q) -> RXFunctions:
     rho, q = field(rho), field(q)
     t = RatFunc.t(field)
     one = RatFunc.constant(field, 1)
-    num = Poly.one(field)
-    den = Poly.one(field)
-    for ul in u:
-        num = num * Poly(field, (-ul, field.one))
-        den = den * Poly(field, (-field.one, ul))
-    G = RatFunc(num, den)
+    G = _g_ratfunc(field, u)
     ginv = G.substitute_inverse_t()
     delta = q - q.inverse()
     tt = t * t
-    prod_u = field.one
-    for ul in u:
-        prod_u = prod_u * ul
-    base = RatFunc.constant(field, rho.inverse() * prod_u)
+    base = RatFunc.constant(field, rho.inverse() * math.prod(u, start=field.one))
     if len(u) % 2 == 1:
         A = base + t * delta / (tt - one)
     else:
@@ -233,9 +244,7 @@ def check_rho_constraint(field, u, rho, q) -> Optional[str]:
     diagnostic string if violated, else None."""
     u = [field(x) for x in u]
     rho, q = field(rho), field(q)
-    p = field.one
-    for x in u:
-        p = p * x
+    p = math.prod(u, start=field.one)
     if len(u) % 2 == 1:
         if rho != p and rho != -p:
             return (f"r = {len(u)} odd needs rho = +-(u_1...u_r); "
@@ -355,7 +364,31 @@ def wminus_ratfunc(seq: OmegaSeq) -> RatFunc:
     return (-wplus_ratfunc(seq)).substitute_inverse_t()
 
 
+def _series_report(name, lhs: Series, rhs: Series) -> AdmissibilityReport:
+    """Pass, or fail at the first index where the two series differ."""
+    idx = lhs.first_disagreement(rhs)
+    if idx is None:
+        return single(name, True)
+    return single(name, False, Witness(name, idx, lhs[idx], rhs[idx]))
+
+
+def _ratfunc_report(name, lhs: RatFunc, rhs: RatFunc,
+                    order: int) -> AdmissibilityReport:
+    """Exact comparison of two rational functions.  A failure is witnessed
+    by the first disagreement of their expansions to the given order, or by
+    the two functions themselves when the expansions agree that far."""
+    if lhs == rhs:
+        return single(name, True)
+    report = _series_report(name, lhs.series_at_infinity(order),
+                            rhs.series_at_infinity(order))
+    if report.passed:
+        return single(name, False,
+                      Witness(name, f"beyond order {order}", lhs, rhs))
+    return report
+
+
 def _pm_factors_rat(params: ParamSet):
+    """h(t), -h(1/t) and the right-hand side of the w^+/w^- identity."""
     field = params.field
     delta_inv = (params.q - params.q.inverse()).inverse()
     rinv = params.rho.inverse()
@@ -388,18 +421,9 @@ def verify_pm_identity(params: ParamSet, bound: int = None) -> AdmissibilityRepo
     if params.omega.closure is not None:
         wp = wplus_ratfunc(params.omega)
         wm = wminus_ratfunc(params.omega)
-        lhs = (wp + left_shift) * (wm + right_shift)
-        if lhs == rhs:
-            return single(name, True)
         order = bound if bound is not None else default_order(params.r)
-        lhs_series = lhs.series_at_infinity(order)
-        rhs_series = rhs.series_at_infinity(order)
-        idx = lhs_series.first_disagreement(rhs_series)
-        if idx is None:
-            witness = Witness(name, f"beyond order {order}", lhs, rhs)
-        else:
-            witness = Witness(name, idx, lhs_series[idx], rhs_series[idx])
-        return single(name, False, witness)
+        return _ratfunc_report(name, (wp + left_shift) * (wm + right_shift),
+                               rhs, order)
     if bound is None:
         bound = len(params.omega) - 1
     seq = params.omega
@@ -409,8 +433,4 @@ def verify_pm_identity(params: ParamSet, bound: int = None) -> AdmissibilityRepo
     wm_series = Series((params.field.zero,) + seq.negative[:bound])
     lhs = (wp_series + left_shift.series_at_infinity(bound)) \
         * (wm_series + right_shift.series_at_infinity(bound))
-    rhs_series = rhs.series_at_infinity(bound)
-    idx = lhs.first_disagreement(rhs_series)
-    if idx is None:
-        return single(name, True)
-    return single(name, False, Witness(name, idx, lhs[idx], rhs_series[idx]))
+    return _series_report(name, lhs, rhs.series_at_infinity(bound))

@@ -22,11 +22,13 @@ distinct roots over the supplied field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .adm_nondegenerate import rui_xu_check
-from .omega import ParamSet, ParameterError, wplus_ratfunc
+from .omega import (ParamSet, ParameterError, _g_ratfunc, _pm_factors_rat,
+                    first_residue, wminus_ratfunc, wplus_ratfunc)
 from .report import AdmissibilityReport, Witness, single
 from .univar import Poly, RatFunc, SplitError
 
@@ -109,12 +111,9 @@ def fit_recurrence(field, prefix) -> RecurrenceFit:
             f"no recursion within half the prefix length (minimal order {L}, "
             f"prefix {n})")
     coeffs = tuple(conn[L - 1 - j] for j in range(L))  # a_j = c_{L-j}
-    for ell in range(n - L):
-        acc = prefix[L + ell]
-        for j in range(L):
-            acc = acc + coeffs[j] * prefix[j + ell]
-        if acc:
-            raise FitError(f"fitted recursion breaks at l={ell}")
+    bad = first_residue(coeffs, prefix, n - L)
+    if bad is not None:
+        raise FitError(f"fitted recursion breaks at l={bad[0]}")
     return RecurrenceFit(L, coeffs, n - 1)
 
 
@@ -128,12 +127,9 @@ def weak_admissibility_check(field, prefix) -> AdmissibilityReport:
     in any characteristic, and omega_{2a} = omega_a^2 when char = 2."""
     om = [field(x) for x in prefix]
     n = len(om)
-    report = None
     name = "convolution"
     witness = None
     for a in range((n - 2) // 2 + 1):
-        if 2 * a + 1 >= n:
-            break
         lhs = om[2 * a + 1] + om[2 * a + 1]
         rhs = -om[2 * a]
         for b in range(1, 2 * a + 2):
@@ -265,16 +261,8 @@ def affine_classify(params: ParamSet) -> RationalityClassification:
     if not wp.den(field.zero):
         raise ParameterError("w^+ has a pole at 0")
 
-    one = RatFunc.constant(field, 1)
-    t = RatFunc.t(field)
-    tt = t * t
-    delta_inv = delta.inverse()
-    rho_inv = params.rho.inverse()
-    h = -(tt / (tt - one)) + RatFunc.constant(field, rho_inv * delta_inv)
-    lhs = -((wp + h) * (wp.substitute_inverse_t() + h.substitute_inverse_t()))
-    rhs = tt / ((tt - one) * (tt - one)) \
-        - RatFunc.constant(field, delta_inv * delta_inv)
-    if lhs != rhs:
+    h, right_shift, rhs = _pm_factors_rat(params)
+    if (wp + h) * (wminus_ratfunc(params.omega) + right_shift) != rhs:
         raise ClassifyError(
             "the two-sided product identity fails; the negative-index "
             "sequence does not match -w^+(1/t)")
@@ -290,24 +278,18 @@ def affine_classify(params: ParamSet) -> RationalityClassification:
     except SplitError as ex:
         raise ClassifyError(
             f"recovered denominator does not split: {ex}") from ex
-    candidate_num = Poly.one(field)
-    for u in roots:
-        candidate_num = candidate_num * Poly(field, (-field.one, u))
-    candidate_den = Poly.from_roots(field, roots)
-    alpha = None
-    for a in (0, 1):
-        sign = field.one if a == 0 else -field.one
-        if R == RatFunc(candidate_num * sign, candidate_den):
-            alpha = a
-            break
-    if alpha is None:
+    inv_g = 1 / _g_ratfunc(field, roots)     # prod (t u - 1)/(t - u)
+    if R == inv_g:
+        alpha = 0
+    elif R == -inv_g:
+        alpha = 1
+    else:
         raise ClassifyError(
             f"(w^+ + h)/B = {R!r} is not +- a product of factors "
             "(t u - 1)/(t - u)")
-    prod_u = field.one
-    for u in roots:
-        prod_u = prod_u * u
-    expected_rho = prod_u if alpha == 0 else -prod_u
+    expected_rho = math.prod(roots, start=field.one)
+    if alpha:
+        expected_rho = -expected_rho
     if params.rho != expected_rho:
         raise ClassifyError(
             f"rho = {params.rho} differs from (-1)^alpha prod u = {expected_rho}")

@@ -61,7 +61,3 @@ class AdmissibilityReport:
 
 def single(name: str, ok: bool, witness: Optional[Witness] = None) -> AdmissibilityReport:
     return AdmissibilityReport(((name, ok),), None if ok else witness)
-
-
-def passing(*names: str) -> AdmissibilityReport:
-    return AdmissibilityReport(tuple((n, True) for n in names))

@@ -17,19 +17,3 @@ def random_element(field: Field, rng, nonzero=False):
             x = FieldElement(field, rng.randrange(field.order))
         if x or not nonzero:
             return x
-
-
-def random_distinct(field: Field, rng, count, nonzero=False, avoid=()):
-    """count distinct random elements, none equal to anything in avoid."""
-    avoid = {field(a) for a in avoid}
-    out = []
-    guard = 0
-    while len(out) < count:
-        guard += 1
-        if guard > 10000:
-            raise ValueError("field too small for the requested distinct sample")
-        x = random_element(field, rng, nonzero=nonzero)
-        if x in avoid or x in out:
-            continue
-        out.append(x)
-    return out

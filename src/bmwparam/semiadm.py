@@ -24,8 +24,10 @@ from itertools import combinations
 from typing import Optional, Tuple
 
 from . import symfun
+from .adm_degenerate import check_u_admissible
 from .adm_nondegenerate import rui_xu_check
-from .diagrams import double_factorial_odd
+# b_prime and double_factorial_odd live in diagrams; re-exported here
+from .diagrams import b_prime, count_ideal_spanning, double_factorial_odd
 from .omega import OmegaSeq, ParamSet, ParameterError
 
 SUBSET_SEARCH_R_CAP = 8
@@ -60,11 +62,12 @@ class Detection:
 
 
 def _subset_passes(params: ParamSet, roots, bound) -> bool:
+    """Whether the omegas pass the admissibility criterion of their kind
+    with the root list replaced by ``roots``."""
     field = params.field
     if params.kind == "degenerate":
-        bound = min(bound, len(params.omega) - 1)
-        etas = symfun.eta_values(+1, list(roots), bound)
-        return all(params.omega.prefix[a] == etas[a] for a in range(bound + 1))
+        sub = ParamSet("degenerate", field, tuple(roots), params.omega)
+        return check_u_admissible(sub, bound).passed
     sub = ParamSet("nondegenerate", field, tuple(roots),
                    OmegaSeq(field, params.omega.prefix),
                    rho=params.rho, q=params.q)
@@ -142,14 +145,9 @@ def construct_example(field, d, base, extra, order=None) -> ParamSet:
     return ParamSet("degenerate", field, tuple(roots), seq)
 
 
-def b_prime(n: int) -> int:
-    """Pairings of 2n points with at least one horizontal pair."""
-    return double_factorial_odd(n) - math.factorial(n)
-
-
 def rank_formula(n: int, r: int, d: int) -> int:
     """Free rank d^n b'(n) + r^n n! of the degree-n algebra in the
     d-semi-admissible regime (d = r gives the admissible rank r^n (2n-1)!!)."""
     if not 0 < d <= r:
         raise ValueError(f"need 0 < d <= r, got d={d}, r={r}")
-    return d ** n * b_prime(n) + r ** n * math.factorial(n)
+    return count_ideal_spanning(n, d) + r ** n * math.factorial(n)

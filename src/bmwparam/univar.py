@@ -440,14 +440,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def series_expand(f: RatFunc, order: int) -> "Series":
-    return f.series_at_infinity(order)
-
-
-def substitute_inverse_t(f: RatFunc) -> RatFunc:
-    return f.substitute_inverse_t()
-
-
 class Series:
     """Truncated series: coefficients c_0..c_N of sum c_a x^a.
 
@@ -466,18 +458,11 @@ class Series:
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
 
-    @property
-    def order(self):
-        return len(self.coeffs) - 1
-
     def __getitem__(self, a):
         return self.coeffs[a]
 
     def __len__(self):
         return len(self.coeffs)
-
-    def truncated(self, order):
-        return Series(self.coeffs[:order + 1])
 
     def __add__(self, other):
         if not isinstance(other, Series):
@@ -524,9 +509,6 @@ class Series:
             if self.coeffs[i] != other.coeffs[i]:
                 return i
         return None
-
-    def agrees_with(self, other):
-        return self.first_disagreement(other) is None
 
     def __repr__(self):
         return "Series(" + ", ".join(str(c) for c in self.coeffs) + ")"

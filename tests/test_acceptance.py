@@ -29,8 +29,8 @@ from bmwparam.univar import RatFunc
 
 def _finish(tag, started, budget):
     elapsed = time.monotonic() - started
-    print(f"ACCEPTANCE {tag}: PASS ({elapsed:.2f}s, budget {budget:.0f}s)")
     assert elapsed < budget, f"{tag} exceeded its {budget}s budget: {elapsed:.2f}s"
+    print(f"ACCEPTANCE {tag}: PASS ({elapsed:.2f}s, budget {budget:.0f}s)")
 
 
 def test_criterion_1_symmetric_function_identities():

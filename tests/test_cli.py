@@ -252,3 +252,38 @@ def test_long_char2_series_needs_no_symbolic_cap(tmp_path, capsys):
     code, out, _ = run(capsys, "check", "--file", write(tmp_path, doc, "prefix.json"))
     assert code == 0
     assert "recursion: pass, relations: pass, u-admissible: pass" in out
+
+
+@pytest.mark.parametrize("roots", [["2", "3", "5"], ["2", "3"]])
+def test_detect_semi_empty_prefix_exits_2(tmp_path, capsys, roots):
+    doc = {"kind": "degenerate", "field": {"type": "rational"}, "u": roots,
+           "omega": {"prefix": []}}
+    code, out, err = run(capsys, "detect-semi", "--file", write(tmp_path, doc))
+    assert code == 2
+    assert out == ""
+    assert "insufficient prefix" in err and "Traceback" not in err
+
+
+def test_broken_pipe_exits_2(tmp_path, monkeypatch, capsys):
+    class ClosedPipe:
+        """A stdout whose reader has gone away; its descriptor is a file
+        of the test's own, so pointing it at devnull is harmless."""
+
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    path = write(tmp_path, GOOD_NONDEG)
+    with open(tmp_path / "stdout", "w") as target:
+        monkeypatch.setattr("sys.stdout", ClosedPipe(target.fileno()))
+        assert main(["gen-omega", "--file", path]) == 2
+    monkeypatch.undo()
+    assert capsys.readouterr().err == ""

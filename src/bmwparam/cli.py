@@ -212,6 +212,14 @@ def _generic_roots(field, rng, count):
     return chosen
 
 
+def non_negative_int(text):
+    """argparse type of --bound: an int >= 0 (argparse exits 2 otherwise)."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="bmwparam",
@@ -222,7 +230,7 @@ def build_parser():
     def common(p, file_required=True):
         if file_required:
             p.add_argument("--file", required=True, help="parameter JSON file")
-        p.add_argument("--bound", type=int, default=20,
+        p.add_argument("--bound", type=non_negative_int, default=20,
                        help="truncation/recursion bound (default 20)")
         p.add_argument("--json", action="store_true",
                        help="emit a JSON report instead of text")
@@ -259,7 +267,7 @@ def build_parser():
     p.add_argument("--p", type=int, help="odd prime field instead of Q")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for generic root sampling")
-    p.add_argument("--bound", type=int, default=20)
+    p.add_argument("--bound", type=non_negative_int, default=20)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_construct_example)
     return parser

@@ -197,18 +197,32 @@ class RationalField(Field):
 QQ = RationalField()
 
 
+# no composite below 3 * 10^23, far above 2^64, is a strong pseudoprime to
+# all of the first 12 primes
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin primality test, exact for n < 2^64."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        y = pow(b, d, n)
+        if y == 1 or y == n - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -216,6 +230,8 @@ class PrimeField(Field):
     """GF(p) for a prime p, with elements stored as ints in [0, p)."""
 
     def __init__(self, p: int):
+        if p >= 1 << 64:
+            raise ValueError(f"GF(p) needs p < 2^64, got {p}")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p

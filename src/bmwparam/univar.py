@@ -202,33 +202,99 @@ class Poly:
     def roots_with_multiplicity(self):
         """Split into linear factors, or raise SplitError.
 
-        Returns the full list of roots with multiplicity; works by rational
-        root search over Q and by exhaustive search over finite fields.
+        Returns the full list of roots with multiplicity.  Over Q the roots
+        come from the rational root theorem.  Over a finite field F the
+        distinct roots come from gcd(f, t^|F| - t) by equal-degree splitting
+        (see :func:`_distinct_roots`), in time polynomial in deg f and
+        log |F|; they are listed in ascending ``raw`` order, each repeated by
+        its multiplicity.
         """
         if self.is_zero():
             raise ValueError("zero polynomial")
+        field = self.field
         p = self.monic()
         roots = []
-        while p.degree > 0:
-            r = _find_root(p)
-            if r is None:
-                raise SplitError(
-                    f"{self!r} does not split into linear factors over {self.field}")
-            roots.append(r)
-            p = p // Poly(self.field, (-r, self.field.one))
+        if field == QQ:
+            while p.degree > 0 and (r := _rational_root(p)) is not None:
+                roots.append(r)
+                p = p // Poly(field, (-r, field.one))
+        else:
+            for r in _distinct_roots(p):
+                linear = Poly(field, (-r, field.one))
+                quot, rem = divmod(p, linear)
+                while rem.is_zero():
+                    roots.append(r)
+                    p = quot
+                    quot, rem = divmod(p, linear)
+        if p.degree > 0:
+            raise SplitError(
+                f"{self!r} does not split into linear factors over {field}")
         return roots
 
 
-def _find_root(p: Poly):
-    field = p.field
-    if p.coeff(0) == field.zero:
-        return field.zero
-    if field is QQ or field == QQ:
-        return _rational_root(p)
-    for x in field.elements():
-        if not p(x):
-            return x
-    return None
+def _pow_mod(base: Poly, n: int, mod: Poly) -> Poly:
+    """base^n mod ``mod`` by square-and-multiply, for n >= 1."""
+    acc = base % mod
+    for bit in bin(n)[3:]:
+        acc = acc * acc % mod
+        if bit == "1":
+            acc = acc * base % mod
+    return acc
+
+
+def _distinct_roots(f: Poly):
+    """The distinct roots of monic f over its finite field, by ``raw`` value.
+
+    g = gcd(f, t^|F| - t) is the product of the distinct linear factors of
+    f.  Equal-degree splitting (Cantor & Zassenhaus, Math. Comp. 36, 1981)
+    breaks g apart by gcds with a fixed sequence of splitters s_0, s_1, ...:
+    polynomials that vanish at some roots and not at others, each costing
+    O(log |F|) products of degree < 2 deg f.  A factor made by s_i lies in
+    a single class of each of s_0..s_i, so it goes on with s_(i+1).
+    """
+    field = f.field
+    t = Poly.x(field)
+    order = field.order
+    if field.char == 2:
+        # Tr(a t) = sum_{i<k} a^(2^i) t^(2^i) is Tr(a r) in GF(2) at a root r;
+        # the trace form is non-degenerate, so some a in the basis
+        # 1, gen, ..., gen^(k-1) separates any two roots
+        k = order.bit_length() - 1
+        gen = field.gen() if k > 1 else field.one
+        frobenius = [t]                          # t^(2^i) mod f, i <= k
+        for _ in range(k):
+            frobenius.append(frobenius[-1] * frobenius[-1] % f)
+        t_to_order = frobenius.pop()
+
+        def splitter(h, j):
+            a, trace = gen ** j, Poly.zero(field)
+            for power in frobenius:
+                trace = trace + power * a
+                a = a * a
+            return trace
+    else:
+        # (r + a)^((p-1)/2) = 1 iff r + a is a nonzero square; the squares
+        # are not closed under adding a nonzero constant, so some shift
+        # a < p separates any two roots
+        t_to_order = _pow_mod(t, order, f)
+
+        def splitter(h, a):
+            return _pow_mod(t + a, (order - 1) // 2, h) - 1
+
+    g = poly_gcd(f, t_to_order - t)
+    roots = []
+    pending = [(g, 0)]
+    while pending:
+        h, i = pending.pop()
+        if h.degree == 1:
+            roots.append(-h.coeff(0))
+        elif h.degree > 1:
+            d = poly_gcd(h, splitter(h, i))
+            if 0 < d.degree < h.degree:
+                pending += [(d, i + 1), (h // d, i + 1)]
+            else:
+                pending.append((h, i + 1))
+    return sorted(roots, key=lambda r: r.raw)
 
 
 def _divisors(n):

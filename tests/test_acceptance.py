@@ -4,6 +4,7 @@ Each test prints a single pass/fail line (visible with -s or in the captured
 output); the stated time budgets are asserted as hard ceilings.
 """
 
+import json
 import math
 import random
 import time
@@ -14,6 +15,7 @@ from bmwparam import symfun
 from bmwparam.adm_degenerate import equivalence_harness_degenerate
 from bmwparam.adm_nondegenerate import (equivalence_harness_nondegenerate,
                                         rui_xu_check, wilcox_yu_check)
+from bmwparam.cli import main
 from bmwparam.diagrams import (count_ideal_spanning, enumerate_diagrams,
                                enumerate_ideal_spanning, enumerate_regular,
                                factorize, compose, BrauerDiagram)
@@ -24,7 +26,7 @@ from bmwparam.omega import (degenerate_params, nondegenerate_params,
                             wplus_ratfunc)
 from bmwparam.rationality import affine_classify, char2_recover
 from bmwparam.semiadm import construct_example, detect, rank_formula
-from bmwparam.univar import RatFunc
+from bmwparam.univar import Poly, RatFunc
 
 
 def _finish(tag, started, budget):
@@ -250,3 +252,38 @@ def test_budget_degenerate_params_qq_r6_order200():
     ps = degenerate_params(QQ, us, order=200)
     assert len(ps.omega) == 201 and ps.omega.order == 6
     _finish("degenerate_params(QQ, r=6, order=200)", started, 1)
+
+
+def test_budget_roots_gf1000003_degree2():
+    started = time.monotonic()
+    field = PrimeField(1000003)
+    roots = [field(999983), field(1000001)]
+    assert Poly.from_roots(field, roots).roots_with_multiplicity() == roots
+    _finish("roots_with_multiplicity over GF(1000003), degree 2", started, 1)
+
+
+def test_budget_roots_gf_mersenne61_degree6():
+    started = time.monotonic()
+    p = 2**61 - 1
+    field = PrimeField(p)
+    raws = [0, 3, 3, 2**40 + 15, 2**60 + 1, p - 2]
+    roots = [field(x) for x in raws]
+    assert Poly.from_roots(field, roots).roots_with_multiplicity() == roots
+    _finish("roots_with_multiplicity over GF(2^61 - 1), degree 6", started, 1)
+
+
+def test_budget_classify_gf1000003_r3(tmp_path, capsys):
+    p = 1000003
+    u = [999979, 999983, 1000001]
+    doc = {"kind": "nondegenerate", "field": {"type": "prime", "p": p},
+           "u": [str(x) for x in u], "rho": str(math.prod(u) % p), "q": "2",
+           "omega": {"from_u": True, "order": 12}}
+    path = tmp_path / "classify.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    started = time.monotonic()
+    code = main(["classify", "--file", str(path), "--json"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["case"] == 1
+    assert sorted(payload["roots"]) == u
+    _finish("bmwparam classify, GF(1000003), r=3", started, 1)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -262,6 +263,34 @@ def test_detect_semi_empty_prefix_exits_2(tmp_path, capsys, roots):
     assert code == 2
     assert out == ""
     assert "insufficient prefix" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, roots", [
+    ("detect-semi", ["2"]), ("detect-semi", ["2", "3"]),
+    ("detect-semi", ["2", "3", "5"]), ("check", ["2", "3"]),
+    ("gen-omega", ["2", "3"])])
+def test_negative_bound_exits_2(tmp_path, capsys, command, roots):
+    doc = {"kind": "degenerate", "field": {"type": "rational"}, "u": roots,
+           "omega": {"from_u": True, "order": 10}}
+    code, out, err = run(capsys, command, "--file", write(tmp_path, doc),
+                         "--bound", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--bound" in err and "Traceback" not in err
+
+
+def test_prime_field_near_2_to_the_64(tmp_path, capsys):
+    doc = {"kind": "degenerate", "field": {"type": "prime",
+                                           "p": 1000000000000000003},
+           "u": ["2", "3", "5"], "omega": {"from_u": True, "order": 20}}
+    started = time.monotonic()
+    code, out, _ = run(capsys, "gen-omega", "--file", write(tmp_path, doc))
+    assert time.monotonic() - started < 1
+    assert code == 0 and out.startswith("omega[0] = ")
+    doc["field"]["p"] = 2**64 + 13          # prime, but past the limit
+    code, _, err = run(capsys, "gen-omega", "--file", write(tmp_path, doc))
+    assert code == 2
+    assert err.startswith("error: field: ") and "Traceback" not in err
 
 
 def test_broken_pipe_exits_2(tmp_path, monkeypatch, capsys):

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
 from bmwparam.fields import (QQ, BinaryField, FieldCoercionError, FieldElement,
-                             PrimeField, field_from_descriptor)
+                             PrimeField, _is_prime, field_from_descriptor)
 
 FIELDS = [QQ, PrimeField(2), PrimeField(5), PrimeField(13),
           BinaryField(2), BinaryField(3), BinaryField(4), BinaryField(8)]
@@ -114,6 +115,27 @@ def test_zero_division():
         QQ.zero.inverse()
     with pytest.raises(ZeroDivisionError):
         BinaryField(2).zero.inverse()
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    for n in range(100000):
+        trial = n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+        assert _is_prime(n) == trial, n
+
+
+def test_is_prime_rejects_pseudoprimes_and_accepts_large_primes():
+    # Carmichael numbers, and the least strong pseudoprime to bases 2, 3, 5, 7
+    for n in (561, 41041, 3215031751):
+        assert not _is_prime(n)
+    for p in (2**61 - 1, 1000000000000000003, 2**64 - 59):
+        assert _is_prime(p)
+    assert not _is_prime((2**31 - 1) * (2**61 - 1))
+
+
+def test_prime_field_refuses_p_from_2_to_the_64():
+    assert PrimeField(2**64 - 59).p == 2**64 - 59
+    with pytest.raises(ValueError, match="2\\^64"):
+        PrimeField(2**64 + 13)
 
 
 def test_field_descriptor_roundtrip():

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -26,6 +27,22 @@ def oracle_series_at_infinity(num, den, order):
             if k + j < len(rem):
                 rem[k + j] -= c * d
     return out
+
+
+def _scan_roots(f):
+    """Roots of f by scanning every field element, O(|F|) per root: the
+    reference for the finite-field splitter."""
+    field = f.field
+    p = f.monic()
+    roots = []
+    while p.degree > 0:
+        r = next((x for x in field.elements() if not p(x)), None)
+        if r is None:
+            raise SplitError(
+                f"{f!r} does not split into linear factors over {field}")
+        roots.append(r)
+        p = p // Poly(field, (-r, field.one))
+    return roots
 
 
 def ratfunc(num, den, field=QQ):
@@ -183,6 +200,61 @@ def test_roots_finite_fields():
         # x^2 + x + 1 is the defining irreducible of GF(4), so it has no
         # roots over GF(2)
         Poly(PrimeField(2), (1, 1, 1)).roots_with_multiplicity()
+
+
+SMALL_PRIMES = [p for p in range(2, 102) if all(p % d for d in range(2, p))]
+
+
+@functools.lru_cache(maxsize=None)
+def _irreducible_quadratic(field):
+    """The first monic t^2 + a t + b, in scan order, with no root in field."""
+    for a in field.elements():
+        for b in field.elements():
+            f = Poly(field, (b, a, field.one))
+            if all(f(x) for x in field.elements()):
+                return f
+    raise AssertionError(f"no irreducible quadratic over {field}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from(SMALL_PRIMES).map(PrimeField),
+                 st.integers(1, 8).map(BinaryField)),
+       st.lists(st.one_of(st.just(0), st.integers(0, 255)), max_size=8),
+       st.integers(1, 255), st.booleans())
+def test_roots_match_element_scan(field, picks, scale, irreducible):
+    elements = list(field.elements())
+    roots = [elements[i % field.order] for i in picks]
+    f = Poly.from_roots(field, roots) * elements[1 + scale % (field.order - 1)]
+    if irreducible:
+        f = f * _irreducible_quadratic(field)
+    try:
+        expected = _scan_roots(f)
+    except SplitError as ex:
+        with pytest.raises(SplitError) as got:
+            f.roots_with_multiplicity()
+        assert str(got.value) == str(ex)
+    else:
+        assert f.roots_with_multiplicity() == expected
+        assert sorted(r.raw for r in expected) == sorted(r.raw for r in roots)
+
+
+def test_roots_large_prime_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    p = 2**61 - 1
+    F = PrimeField(p)
+    rng = random.Random(61)
+    raws = [rng.randrange(p) for _ in range(4)]
+    raws += [raws[1], 0]                         # a repeated root and zero
+    f = Poly.from_roots(F, [F(r) for r in raws]) * F(7)
+    assert f.degree == 6
+    got = f.roots_with_multiplicity()
+    t = sympy.symbols("t")
+    ref = sympy.Poly([c.raw for c in reversed(f.coeffs)], t, modulus=p)
+    expected = []
+    for factor, mult in ref.factor_list()[1]:
+        assert factor.degree() == 1
+        expected += [(-factor.all_coeffs()[1]) % p] * mult
+    assert [r.raw for r in got] == sorted(expected) == sorted(raws)
 
 
 def test_poly_eval_and_shift():

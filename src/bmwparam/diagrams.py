@@ -1,9 +1,10 @@
 """Brauer diagram combinatorics.
 
-A diagram on n strands is a perfect matching of n bottom and n top vertices.
-Composition stacks two diagrams, counting the closed loops that form in the
-middle; the loop count is returned, never multiplied into anything, so the
-same engine serves any coefficient ring.
+A diagram on n strands is a perfect matching of n bottom and n top vertices,
+held as its partner table.  Composition stacks two diagrams and walks their
+two partner tables across the seam where they meet, counting the closed loops
+that form there; the loop count is returned, never multiplied into anything,
+so the same engine serves any coefficient ring.
 
 Every diagram with 2f horizontal strands factors uniquely as
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, Iterator, Tuple
+from typing import Iterator, Tuple
 
 ENUMERATION_CAP = 6
 
@@ -50,6 +51,8 @@ class BrauerDiagram:
     def from_pairs(cls, n: int, pairs) -> "BrauerDiagram":
         partner = [-1] * (2 * n)
         for v, w in pairs:
+            if not (0 <= v < 2 * n and 0 <= w < 2 * n):
+                raise ValueError(f"pair ({v}, {w}) leaves vertices 0..{2 * n - 1}")
             partner[v], partner[w] = w, v
         return cls(n, partner)
 
@@ -77,41 +80,49 @@ class BrauerDiagram:
     def permutation(cls, perm) -> "BrauerDiagram":
         """Diagram of a permutation given 0-based: bottom i to top perm[i]."""
         n = len(perm)
-        return cls.from_pairs(n, [(i, n + perm[i]) for i in range(n)])
+        partner = [-1] * (2 * n)
+        for i, t in enumerate(perm):
+            partner[i], partner[n + t] = n + t, i
+        return cls(n, partner)
 
     @classmethod
     def half_caps(cls, f: int, n: int) -> "BrauerDiagram":
         """E_1 E_3 ... E_{2f-1}: f nested-free cap pairs then verticals."""
-        pairs = [(2 * k, 2 * k + 1) for k in range(f)]
-        pairs += [(n + 2 * k, n + 2 * k + 1) for k in range(f)]
-        pairs += [(j, n + j) for j in range(2 * f, n)]
-        return cls.from_pairs(n, pairs)
+        partner = [*range(n, 2 * n), *range(n)]
+        for base in (0, n):
+            for v in range(base, base + 2 * f, 2):
+                partner[v], partner[v + 1] = v + 1, v
+        return cls(n, partner)
 
     def strands(self):
-        return [(v, self.partner[v]) for v in range(2 * self.n)
-                if v < self.partner[v]]
+        return [(v, w) for v, w in enumerate(self.partner) if v < w]
 
     def bottom_horizontal(self):
         """Bottom horizontal strands as (left, right) position pairs."""
-        return sorted((v, w) for v, w in self.strands()
-                      if w < self.n)
+        n = self.n
+        return [(v, w) for v, w in enumerate(self.partner[:n]) if v < w < n]
 
     def top_horizontal(self):
         """Top horizontal strands as 0-based (left, right) position pairs."""
-        return sorted((v - self.n, w - self.n) for v, w in self.strands()
-                      if v >= self.n)
+        n = self.n
+        return [(i, w - n) for i, w in enumerate(self.partner[n:])
+                if w - n > i]
 
     def vertical(self):
         """Vertical strands as (bottom, top) position pairs."""
-        return sorted((v, w - self.n) for v, w in self.strands()
-                      if v < self.n <= w)
+        n = self.n
+        return [(v, w - n) for v, w in enumerate(self.partner[:n]) if w >= n]
 
     def horizontal_count(self) -> int:
         """Total number of horizontal strands (top plus bottom), always even."""
-        return len(self.bottom_horizontal()) + len(self.top_horizontal())
+        # as many top as bottom horizontal strands, so their total is the
+        # number of bottom vertices on one
+        n = self.n
+        return sum(w < n for w in self.partner[:n])
 
     def is_permutation(self) -> bool:
-        return self.horizontal_count() == 0
+        n = self.n
+        return all(w >= n for w in self.partner[:n])
 
     def __eq__(self, other):
         if not isinstance(other, BrauerDiagram):
@@ -138,84 +149,59 @@ def compose(d1: BrauerDiagram, d2: BrauerDiagram) -> Tuple[BrauerDiagram, int]:
     if d1.n != d2.n:
         raise ValueError("strand count mismatch")
     n = d1.n
-    # nodes: ('T', i) result top, ('B', i) result bottom, ('M', i) glued seam;
-    # every seam node has degree exactly 2 (one edge from each factor)
-    adj: Dict[tuple, list] = {}
-
-    def link(a, b):
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-
-    def node_of(v, in_upper):
-        if in_upper:  # d1: bottoms are seam vertices, tops stay tops
-            return ('M', v) if v < n else ('T', v - n)
-        return ('B', v) if v < n else ('M', v - n)
-
-    for v, w in d1.strands():
-        link(node_of(v, True), node_of(w, True))
-    for v, w in d2.strands():
-        link(node_of(v, False), node_of(w, False))
-
-    outer = [('T', i) for i in range(n)] + [('B', i) for i in range(n)]
-    visited = set()
-    pairs = []
-    for start in outer:
-        if start in visited:
+    upper, lower = d1.partner, d2.partner
+    # seam point i is both d1's bottom i and d2's top n + i; d1's tops and
+    # d2's bottoms keep their vertex numbers in the product
+    out = [-1] * (2 * n)
+    crossed = [False] * n
+    for v in range(2 * n):
+        if out[v] >= 0:
             continue
-        visited.add(start)
-        prev, cur = start, adj[start][0]
-        while cur[0] == 'M':
-            visited.add(cur)
-            step = [x for x in adj[cur] if x != prev]
-            # parallel seam edges only occur on closed loops, never on a
-            # path that reaches an outer vertex
-            prev, cur = cur, step[0]
-        visited.add(cur)
-        pairs.append((start, cur))
-
-    # what remains of the seam layer is a disjoint union of cycles (every
-    # unvisited node has degree 2), one loop per connected component
+        in_upper = v >= n
+        w = upper[v] if in_upper else lower[v]
+        while (w < n) == in_upper:  # w is a seam point: cross it
+            if in_upper:
+                crossed[w] = True
+                w = lower[n + w]
+            else:
+                crossed[w - n] = True
+                w = upper[w - n]
+            in_upper = not in_upper
+        out[v], out[w] = w, v
+    # every seam point no path crossed lies on a closed loop, and every
+    # d1 strand on a loop joins two seam points
     loops = 0
-    for i in range(n):
-        node = ('M', i)
-        if node in visited or node not in adj:
+    for s in range(n):
+        if crossed[s]:
             continue
         loops += 1
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            if cur in visited:
-                continue
-            visited.add(cur)
-            stack.extend(adj[cur])
-
-    def vertex(node):
-        return node[1] if node[0] == 'B' else n + node[1]
-
-    matching = []
-    seen = set()
-    for a, b in pairs:
-        va, vb = vertex(a), vertex(b)
-        if (vb, va) not in seen:
-            seen.add((va, vb))
-            matching.append((va, vb))
-    return BrauerDiagram.from_pairs(n, matching), loops
+        while not crossed[s]:
+            t = upper[s]
+            crossed[s] = crossed[t] = True
+            s = lower[n + t] - n
+    return BrauerDiagram(n, out), loops
 
 
 def enumerate_diagrams(n: int) -> Iterator[BrauerDiagram]:
-    """All (2n-1)!! diagrams on n strands, in a deterministic order."""
+    """All (2n-1)!! diagrams on n strands, in a deterministic order: the
+    lowest free vertex is paired with each later free vertex in turn."""
     if n > ENUMERATION_CAP:
         raise ValueError(f"diagram enumeration capped at n <= {ENUMERATION_CAP}")
+    partner = [-1] * (2 * n)
 
-    def rec(free, pairs):
-        if not free:
-            yield BrauerDiagram.from_pairs(n, pairs)
+    def fill(v):
+        while v < 2 * n and partner[v] >= 0:
+            v += 1
+        if v == 2 * n:
+            yield BrauerDiagram(n, partner)
             return
-        v = free[0]
-        for w in free[1:]:
-            yield from rec([x for x in free[1:] if x != w], pairs + [(v, w)])
+        for w in range(v + 1, 2 * n):
+            if partner[w] < 0:
+                partner[v], partner[w] = w, v
+                yield from fill(v + 1)
+                partner[v] = partner[w] = -1
 
-    yield from rec(list(range(2 * n)), [])
+    yield from fill(0)
 
 
 @dataclass(frozen=True)
@@ -246,34 +232,26 @@ def _invert(perm):
     return tuple(inv)
 
 
-def _coset_representative(horizontal, n, f):
+def _coset_representative(horizontal, n):
     """Order-preserving representative: position pairs (2i, 2i+1) onto the
     i-th horizontal strand, remaining positions onto the rest in order."""
-    perm = [0] * n
-    used = set()
-    for i, (left, right) in enumerate(horizontal):
-        perm[2 * i], perm[2 * i + 1] = left, right
-        used.update((left, right))
-    rest = [v for v in range(n) if v not in used]
-    for j, v in enumerate(rest):
-        perm[2 * f + j] = v
-    return tuple(perm)
+    paired = [v for strand in horizontal for v in strand]
+    used = set(paired)
+    return (*paired, *(v for v in range(n) if v not in used))
 
 
 def factorize(gamma: BrauerDiagram) -> BrauerFactorization:
     """The canonical factorization; certified by recomposition."""
     n = gamma.n
     tops = gamma.top_horizontal()
-    bottoms = gamma.bottom_horizontal()
     f = len(tops)
-    alpha = _coset_representative(tops, n, f)
-    beta = _coset_representative(bottoms, n, f)
+    alpha = _coset_representative(tops, n)
+    beta = _coset_representative(gamma.bottom_horizontal(), n)
+    # beta lists the vertical strands' bottoms in order after its 2f paired
+    # positions, and vertical() is sorted by bottom
     alpha_inv = _invert(alpha)
-    beta_inv = _invert(beta)
-    pi = list(range(n))
-    for b, t in gamma.vertical():
-        pi[beta_inv[b]] = alpha_inv[t]
-    fac = BrauerFactorization(n, f, alpha, tuple(pi), beta)
+    pi = (*range(2 * f), *(alpha_inv[t] for _, t in gamma.vertical()))
+    fac = BrauerFactorization(n, f, alpha, pi, beta)
     check, loops = fac.recompose()
     if check != gamma or loops:
         raise AssertionError(f"factorization failed to recompose {gamma!r}")
@@ -333,16 +311,17 @@ def count_regular(n: int, bound: int) -> int:
 def enumerate_ideal_spanning(n: int, bound: int) -> Iterator[IndexedSpanningElement]:
     """All T_{gamma, a, b, c} with exponents < bound over diagrams having at
     least one horizontal strand; there are bound^n ((2n-1)!! - n!) of them."""
+    # exponent tuples of each length f <= n/2 and n - 2f <= n - 2; the
+    # product of (a, b, c) runs through a + b + c in the order of
+    # product(range(bound), repeat=n)
+    exponents = [tuple(product(range(bound), repeat=k))
+                 for k in range(max(n // 2, n - 2) + 1)]
     for gamma in enumerate_diagrams(n):
-        if gamma.is_permutation():
+        f = gamma.horizontal_count() // 2
+        if not f:
             continue
-        f = len(gamma.top_horizontal())
-        s = n - 2 * f
-        for exps in product(range(bound), repeat=n):
-            yield IndexedSpanningElement(gamma,
-                                         exps[:f],
-                                         exps[f:2 * f],
-                                         exps[2 * f:2 * f + s])
+        for a, b, c in product(exponents[f], exponents[f], exponents[n - 2 * f]):
+            yield IndexedSpanningElement(gamma, a, b, c)
 
 
 def count_ideal_spanning(n: int, bound: int) -> int:

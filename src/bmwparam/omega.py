@@ -193,7 +193,7 @@ def degenerate_params(field, u, order=None) -> ParamSet:
     if order is None:
         order = default_order(len(u))
     prefix = symfun.eta_values(+1, u, order)
-    closure = tuple(symfun.char_poly_coeffs(u)[:len(u)])
+    closure = symfun.closure_coeffs(u)
     seq = OmegaSeq(field, tuple(prefix), closure)
     return ParamSet("degenerate", field, u, seq)
 
@@ -279,7 +279,7 @@ def nondegenerate_params(field, u, rho, q, order=None) -> ParamSet:
     delta_inv = (q - q.inverse()).inverse()
     series = Z.series_at_infinity(order)
     prefix = tuple(c * delta_inv for c in series.coeffs)
-    closure = tuple(symfun.char_poly_coeffs(u)[:len(u)])
+    closure = symfun.closure_coeffs(u)
     seq = OmegaSeq(field, prefix, closure)
     return ParamSet("nondegenerate", field, u, seq, rho=rho, q=q)
 

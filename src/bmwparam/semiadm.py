@@ -140,7 +140,7 @@ def construct_example(field, d, base, extra, order=None) -> ParamSet:
     if order is None:
         order = 2 * len(roots) + 8
     prefix = symfun.eta_values(+1, base, order)
-    closure = tuple(symfun.char_poly_coeffs(base)[:d])
+    closure = symfun.closure_coeffs(base)
     seq = OmegaSeq(field, tuple(prefix), closure)
     return ParamSet("degenerate", field, tuple(roots), seq)
 

@@ -90,6 +90,12 @@ def char_poly_coeffs(xs):
     return coeffs
 
 
+def closure_coeffs(xs):
+    """(a_0, ..., a_{r-1}) of prod (y - x_j): the monic recursion that
+    closes an omega sequence whose roots are xs."""
+    return tuple(char_poly_coeffs(xs)[:len(xs)])
+
+
 def _poly_from_negated_roots(xs):
     """Ascending coefficients of prod (y + x_j)."""
     one = _one_like(xs[0])

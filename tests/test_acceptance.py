@@ -32,7 +32,7 @@ from bmwparam.univar import Poly, RatFunc
 def _finish(tag, started, budget):
     elapsed = time.monotonic() - started
     assert elapsed < budget, f"{tag} exceeded its {budget}s budget: {elapsed:.2f}s"
-    print(f"ACCEPTANCE {tag}: PASS ({elapsed:.2f}s, budget {budget:.0f}s)")
+    print(f"ACCEPTANCE {tag}: PASS ({elapsed:.2f}s, budget {budget:g}s)")
 
 
 def test_criterion_1_symmetric_function_identities():
@@ -287,3 +287,28 @@ def test_budget_classify_gf1000003_r3(tmp_path, capsys):
     assert payload["case"] == 1
     assert sorted(payload["roots"]) == u
     _finish("bmwparam classify, GF(1000003), r=3", started, 1)
+
+
+def test_budget_factorize_round_trip_all_n6():
+    diagrams = list(enumerate_diagrams(6))
+    assert len(diagrams) == 10395
+    started = time.monotonic()
+    for gamma in diagrams:
+        rebuilt, loops = factorize(gamma).recompose()
+        assert rebuilt == gamma and loops == 0
+    _finish("factorize + recompose, all 10395 diagrams at n=6", started, 2)
+
+
+def test_budget_compose_20000_random_n6():
+    rng = random.Random(6)
+    vertices = list(range(12))
+
+    def random_diagram():
+        rng.shuffle(vertices)
+        return BrauerDiagram.from_pairs(6, zip(vertices[::2], vertices[1::2]))
+
+    pairs = [(random_diagram(), random_diagram()) for _ in range(20000)]
+    started = time.monotonic()
+    loops = sum(compose(d1, d2)[1] for d1, d2 in pairs)
+    assert loops > 0
+    _finish("20000 random compositions at n=6", started, 0.5)

@@ -216,8 +216,28 @@ def test_cell_datum_collision():
 def test_diagram_validation():
     with pytest.raises(ValueError):
         BrauerDiagram(2, (1, 0, 2, 3))   # vertex 2 partnered with itself
+    bad_tables = [(1, 0, -1, -1),        # vertices 2 and 3 left unpaired
+                  (1, 0, 3, -1),         # vertex 3 left unpaired
+                  (1, 0, 4, 2),          # partner 4 out of range
+                  (1, 0, 3, 5),          # partner 5 out of range
+                  (1, 0, -2, 2),         # negative partner
+                  (2, 0, 1, 3)]          # 0 -> 2 but 2 -> 1: asymmetric
+    for table in bad_tables:
+        with pytest.raises(ValueError):
+            BrauerDiagram(2, table)
+    with pytest.raises(ValueError):
+        BrauerDiagram(2, (1, 0, 3))      # too short
+    bad_pairs = [[(0, 1)],               # vertices 2 and 3 left unpaired
+                 [(0, 1), (2, 4)],       # vertex 4 out of range
+                 [(0, 1), (2, -1)],      # negative vertex
+                 [(0, 1), (1, 2), (2, 3)]]   # vertices 1 and 2 paired twice
+    for pairs in bad_pairs:
+        with pytest.raises(ValueError):
+            BrauerDiagram.from_pairs(2, pairs)
     with pytest.raises(ValueError):
         compose(BrauerDiagram.identity(2), BrauerDiagram.identity(3))
+    with pytest.raises(ValueError):
+        compose(BrauerDiagram.cap(1, 3), BrauerDiagram.cap(1, 2))
 
 
 # ------------------------------------------------------------------ oracle
@@ -244,11 +264,9 @@ def oracle_compose(d1, d2):
         b = w if w < n else 2 * n + (w - n)
         union(a, b)
     # d1 sits above: its bottoms are seam, its tops are result tops
-    edges1 = []
     for v, w in d1.strands():
         a = 2 * n + v if v < n else n + (v - n)
         b = 2 * n + w if w < n else n + (w - n)
-        edges1.append((a, b))
         union(a, b)
     outer = list(range(2 * n))
     groups = {}
@@ -258,19 +276,14 @@ def oracle_compose(d1, d2):
     for members in groups.values():
         assert len(members) == 2
         pairs.append(tuple(members))
-    # loops: seam components containing no outer vertex; count cycles by
-    # edges - vertices + components over each all-seam component
+    # loops: seam components containing no outer vertex
     seam_groups = {}
     for v in range(2 * n, 3 * n):
         root = find(v)
         if any(find(o) == root for o in outer):
             continue
         seam_groups.setdefault(root, set()).add(v)
-    edge_count = {}
-    for a, b in edges1 + [(2 * n + v, 2 * n + w) if False else None for v, w in ()]:
-        pass
-    # count total edges inside each closed seam component: every seam vertex
-    # has degree 2, so each component is one cycle
+    # every seam vertex has degree 2, so each closed component is one cycle
     loops = len(seam_groups)
     return BrauerDiagram.from_pairs(n, pairs), loops
 
@@ -291,3 +304,46 @@ def test_compose_matches_union_find_oracle_random_n4():
     for _ in range(60):
         d1, d2 = rng.choice(pool), rng.choice(pool)
         assert compose(d1, d2) == oracle_compose(d1, d2)
+
+
+def random_diagram(rng, n):
+    """A uniformly random perfect matching, built without enumeration."""
+    vertices = list(range(2 * n))
+    rng.shuffle(vertices)
+    return BrauerDiagram.from_pairs(n, zip(vertices[::2], vertices[1::2]))
+
+
+def test_compose_matches_union_find_oracle_random():
+    rng = random.Random(2010)
+    for n in (1, 5, 6):
+        loop_counts = set()
+        for _ in range(200):
+            d1, d2 = random_diagram(rng, n), random_diagram(rng, n)
+            got_d, got_loops = compose(d1, d2)
+            want_d, want_loops = oracle_compose(d1, d2)
+            assert got_d == want_d, (d1, d2)
+            assert got_loops == want_loops, (d1, d2)
+            loop_counts.add(got_loops)
+        if n > 1:
+            assert len(loop_counts) > 1    # closed loops were exercised
+
+
+def recursive_enumeration(n):
+    """The enumeration order as first written: pair the lowest free vertex
+    with each later free vertex, recursing on the free list."""
+    def rec(free, pairs):
+        if not free:
+            yield BrauerDiagram.from_pairs(n, pairs)
+            return
+        v = free[0]
+        for w in free[1:]:
+            yield from rec([x for x in free[1:] if x != w], pairs + [(v, w)])
+
+    yield from rec(list(range(2 * n)), [])
+
+
+def test_enumeration_order_matches_recursive_oracle():
+    for n in range(7):
+        got = [d.partner for d in enumerate_diagrams(n)]
+        want = [d.partner for d in recursive_enumeration(n)]
+        assert got == want, n

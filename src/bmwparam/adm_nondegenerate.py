@@ -29,7 +29,8 @@ from typing import List
 from . import symfun
 from .omega import (OmegaSeq, ParamSet, ParameterError, RXFunctions,
                     _ratfunc_report, _series_report, check_rho_constraint,
-                    nondegenerate_params, rx_functions, wplus_ratfunc)
+                    checked_delta, nondegenerate_params, rx_functions,
+                    wplus_ratfunc)
 from .report import AdmissibilityReport, Witness, single
 from .sampling import random_element
 from .adm_degenerate import HarnessReport, _recursion_report
@@ -42,9 +43,7 @@ __all__ = ["RXFunctions", "rx_functions", "wy_bracket_sums", "check_recursion",
 def _require_nondegenerate(params: ParamSet):
     if params.kind != "nondegenerate":
         raise ParameterError("non-degenerate-kind parameters required")
-    if not params.q_minus_qinv():
-        raise ParameterError(
-            "q - q^{-1} = 0 is outside the scope of these criteria")
+    checked_delta(params.q)
 
 
 def wy_bracket_sums(acoeffs, ell, r):

@@ -80,6 +80,8 @@ class BrauerDiagram:
     def permutation(cls, perm) -> "BrauerDiagram":
         """Diagram of a permutation given 0-based: bottom i to top perm[i]."""
         n = len(perm)
+        if sorted(perm) != list(range(n)):
+            raise ValueError(f"{list(perm)} is not a permutation of 0..{n - 1}")
         partner = [-1] * (2 * n)
         for i, t in enumerate(perm):
             partner[i], partner[n + t] = n + t, i
@@ -88,6 +90,8 @@ class BrauerDiagram:
     @classmethod
     def half_caps(cls, f: int, n: int) -> "BrauerDiagram":
         """E_1 E_3 ... E_{2f-1}: f nested-free cap pairs then verticals."""
+        if not 0 <= 2 * f <= n:
+            raise ValueError(f"{f} cap pairs do not fit on n={n} strands")
         partner = [*range(n, 2 * n), *range(n)]
         for base in (0, n):
             for v in range(base, base + 2 * f, 2):

@@ -28,7 +28,7 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldCoercionError(
                     f"cannot mix elements of {self.field} and {other.field}")
             return other
@@ -102,7 +102,8 @@ class FieldElement:
         o = self._coerce(other) if not isinstance(other, FieldElement) else other
         if o is None or not isinstance(o, FieldElement):
             return NotImplemented
-        return self.field == o.field and self.raw == o.raw
+        return ((o.field is self.field or o.field == self.field)
+                and self.raw == o.raw)
 
     def __hash__(self):
         return hash((self.field, self.raw))
@@ -125,7 +126,7 @@ class Field:
 
     def __call__(self, x) -> FieldElement:
         if isinstance(x, FieldElement):
-            if x.field != self:
+            if x.field is not self and x.field != self:
                 raise FieldCoercionError(f"cannot coerce {x!r} into {self}")
             return x
         return FieldElement(self, self._from_value(x))

@@ -177,6 +177,16 @@ class ParamSet:
         return self.q - self.q.inverse()
 
 
+def checked_delta(q) -> FieldElement:
+    """q - q^{-1}, which every non-degenerate criterion here divides by;
+    q = +-1, where it vanishes, is refused."""
+    delta = q - q.inverse()
+    if not delta:
+        raise ParameterError(
+            "q - q^{-1} = 0 is outside the scope of these criteria")
+    return delta
+
+
 DEFAULT_ORDER_MARGIN = 8
 
 
@@ -268,15 +278,13 @@ def nondegenerate_params(field, u, rho, q, order=None) -> ParamSet:
     rho, q = field(rho), field(q)
     if not q or not rho:
         raise ParameterError("rho and q must be invertible")
-    if not (q - q.inverse()):
-        raise ParameterError("q - q^{-1} = 0 is outside this criterion")
+    delta_inv = checked_delta(q).inverse()
     diag = check_rho_constraint(field, u, rho, q)
     if diag is not None:
         raise ParameterError(diag)
     if order is None:
         order = default_order(len(u))
     Z = rx_functions(field, u, rho, q).Z
-    delta_inv = (q - q.inverse()).inverse()
     series = Z.series_at_infinity(order)
     prefix = tuple(c * delta_inv for c in series.coeffs)
     closure = symfun.closure_coeffs(u)
@@ -411,11 +419,16 @@ def verify_pm_identity(params: ParamSet, bound: int = None) -> AdmissibilityRepo
 
     exactly as rational functions when the closure is present, otherwise
     coefficientwise to the given truncation order.
+
+    Negative indices missing from the sequence are solved from the
+    two-sided relation, after the stored ones.  Solved values make the
+    identity hold for any prefix, so in that case the prefix is certified
+    instead by the recursion of prod (y - u_j), reported as a separate
+    "recursion" check.
     """
     if params.kind != "nondegenerate":
         raise ParameterError("the identity concerns non-degenerate parameters")
-    if not params.q_minus_qinv():
-        raise ParameterError("q - q^{-1} = 0 is outside this identity")
+    checked_delta(params.q)
     name = "wplus-wminus-identity"
     left_shift, right_shift, rhs = _pm_factors_rat(params)
     if params.omega.closure is not None:
@@ -426,11 +439,23 @@ def verify_pm_identity(params: ParamSet, bound: int = None) -> AdmissibilityRepo
                                rhs, order)
     if bound is None:
         bound = len(params.omega) - 1
-    seq = params.omega
-    if len(seq.negative) < bound:
-        seq = omega_negative(params, bound)
+    negative = params.omega.negative
+    recursion = None
+    if len(negative) < bound:
+        if bound < params.r:
+            raise ParameterError(
+                f"insufficient prefix: without stored negative indices the "
+                f"identity is certified by the recursion, which needs "
+                f"omega_0..omega_{params.r}")
+        solved = omega_negative(params, bound).negative
+        negative = negative + solved[len(negative):]
+        bad = first_residue(symfun.closure_coeffs(params.u),
+                            params.omega.prefix, bound + 1 - params.r)
+        recursion = single("recursion", bad is None, None if bad is None
+                           else Witness("recursion", *bad, params.field.zero))
     wp_series = Series(params.omega.prefix[:bound + 1])
-    wm_series = Series((params.field.zero,) + seq.negative[:bound])
+    wm_series = Series((params.field.zero,) + negative[:bound])
     lhs = (wp_series + left_shift.series_at_infinity(bound)) \
         * (wm_series + right_shift.series_at_infinity(bound))
-    return _series_report(name, lhs, rhs.series_at_infinity(bound))
+    report = _series_report(name, lhs, rhs.series_at_infinity(bound))
+    return report if recursion is None else recursion.combined_with(report)

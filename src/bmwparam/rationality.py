@@ -28,7 +28,8 @@ from typing import Optional, Tuple
 
 from .adm_nondegenerate import rui_xu_check
 from .omega import (ParamSet, ParameterError, _g_ratfunc, _pm_factors_rat,
-                    first_residue, wminus_ratfunc, wplus_ratfunc)
+                    checked_delta, first_residue, wminus_ratfunc,
+                    wplus_ratfunc)
 from .report import AdmissibilityReport, Witness, single
 from .univar import Poly, RatFunc, SplitError
 
@@ -248,10 +249,7 @@ def affine_classify(params: ParamSet) -> RationalityClassification:
     if params.kind != "nondegenerate":
         raise ParameterError("classification needs non-degenerate parameters")
     field = params.field
-    delta = params.q_minus_qinv()
-    if not delta:
-        raise ParameterError("q - q^{-1} = 0: rationality here is not decided "
-                             "by these criteria; refusing to guess")
+    delta = checked_delta(params.q)
     if params.omega.closure is None:
         raise ParameterError("classification needs a recursion closure "
                              "(w^+ must be rational)")

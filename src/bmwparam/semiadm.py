@@ -28,7 +28,7 @@ from .adm_degenerate import check_u_admissible
 from .adm_nondegenerate import rui_xu_check
 # b_prime and double_factorial_odd live in diagrams; re-exported here
 from .diagrams import b_prime, count_ideal_spanning, double_factorial_odd
-from .omega import OmegaSeq, ParamSet, ParameterError
+from .omega import OmegaSeq, ParamSet, ParameterError, checked_delta
 
 SUBSET_SEARCH_R_CAP = 8
 
@@ -80,8 +80,8 @@ def detect(params: ParamSet, bound=None) -> Detection:
     r = params.r
     if r > SUBSET_SEARCH_R_CAP:
         raise ParameterError(f"subset search capped at r <= {SUBSET_SEARCH_R_CAP}")
-    if params.kind == "nondegenerate" and not params.q_minus_qinv():
-        raise ParameterError("q - q^{-1} = 0 detection is out of scope")
+    if params.kind == "nondegenerate":
+        checked_delta(params.q)
     if bound is None:
         bound = len(params.omega) - 1
     if _subset_passes(params, params.u, bound):

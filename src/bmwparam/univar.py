@@ -10,8 +10,10 @@ rational-function identities.  Polynomial coefficients live in a
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from .fields import QQ, FieldElement
+from .fields import (QQ, BinaryField, FieldElement, PrimeField, RationalField,
+                     _is_prime)
 
 
 class PoleAtInfinityError(ValueError):
@@ -36,6 +38,18 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    @classmethod
+    def _from_raw(cls, field, raws):
+        """Wrap raw coefficient values, already canonical and trimmed."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "field", field)
+        object.__setattr__(p, "coeffs",
+                           tuple(FieldElement(field, c) for c in raws))
+        return p
+
+    def _raws(self):
+        return [c.raw for c in self.coeffs]
 
     @classmethod
     def zero(cls, field):
@@ -76,20 +90,25 @@ class Poly:
 
     def _coerce(self, other):
         if isinstance(other, Poly):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("field mismatch")
             return other
         if isinstance(other, (int, Fraction, FieldElement)):
             return Poly(self.field, (self.field(other),))
         return None
 
+    def _termwise(self, other, op):
+        a, b = self._raws(), other._raws()
+        zero = self.field._zero_raw()
+        a += [zero] * (len(b) - len(a))
+        b += [zero] * (len(a) - len(b))
+        return Poly._from_raw(self.field, _trim(list(map(op, a, b))))
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(self.field,
-                    [self.coeff(i) + o.coeff(i) for i in range(n)])
+        return self._termwise(o, self.field._add)
 
     __radd__ = __add__
 
@@ -97,9 +116,7 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(self.field,
-                    [self.coeff(i) - o.coeff(i) for i in range(n)])
+        return self._termwise(o, self.field._sub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -111,20 +128,16 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        field = self.field
         if self.is_zero() or o.is_zero():
-            return Poly.zero(self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+            return Poly.zero(field)
+        return Poly._from_raw(
+            field, _KERNELS[type(field)].mul(field, self._raws(), o._raws()))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        return Poly._from_raw(self.field, list(map(self.field._neg, self._raws())))
 
     def __divmod__(self, other):
         o = self._coerce(other)
@@ -132,19 +145,11 @@ class Poly:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn, dd = self.degree, o.degree
-        if dn < dd:
-            return Poly.zero(self.field), self
-        inv_lead = o.lead().inverse()
-        quot = [self.field.zero] * (dn - dd + 1)
-        for k in range(dn - dd, -1, -1):
-            c = rem[dd + k] * inv_lead
-            quot[k] = c
-            if c:
-                for j in range(dd + 1):
-                    rem[j + k] = rem[j + k] - c * o.coeffs[j]
-        return Poly(self.field, quot), Poly(self.field, rem[:dd])
+        field = self.field
+        if self.degree < o.degree:
+            return Poly.zero(field), self
+        quot, rem = _KERNELS[type(field)].divmod(field, self._raws(), o._raws())
+        return Poly._from_raw(field, quot), Poly._from_raw(field, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -153,10 +158,10 @@ class Poly:
         return divmod(self, other)[1]
 
     def monic(self):
-        if self.is_zero():
+        field = self.field
+        if self.is_zero() or self.coeffs[-1].raw == field._one_raw():
             return self
-        inv = self.lead().inverse()
-        return Poly(self.field, [c * inv for c in self.coeffs])
+        return Poly._from_raw(field, _monic(field, self._raws()))
 
     def shift(self, k):
         """Multiply by t^k."""
@@ -169,11 +174,12 @@ class Poly:
         return Poly(self.field, tuple(reversed(self.coeffs)))
 
     def __call__(self, x):
-        x = self.field(x)
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        field = self.field
+        x = field(x)
+        if self.is_zero():
+            return field.zero
+        return FieldElement(
+            field, _KERNELS[type(field)].eval(field, self._raws(), x.raw))
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -202,34 +208,205 @@ class Poly:
     def roots_with_multiplicity(self):
         """Split into linear factors, or raise SplitError.
 
-        Returns the full list of roots with multiplicity.  Over Q the roots
-        come from the rational root theorem.  Over a finite field F the
-        distinct roots come from gcd(f, t^|F| - t) by equal-degree splitting
-        (see :func:`_distinct_roots`), in time polynomial in deg f and
-        log |F|; they are listed in ascending ``raw`` order, each repeated by
-        its multiplicity.
+        Returns the full list of roots with multiplicity: the distinct roots
+        in a fixed order, each repeated by its multiplicity, which comes from
+        repeated exact division by (t - r).  Over Q the distinct roots come
+        from p-adic Hensel lifting and rational reconstruction (see
+        :func:`_rational_roots`), in time polynomial in deg f and the bit
+        size of its coefficients; they are listed by ascending
+        (|numerator|, denominator), positive before negative, 0 first.  Over
+        a finite field F they come from gcd(f, t^|F| - t) by equal-degree
+        splitting (see :func:`_distinct_roots`), in time polynomial in deg f
+        and log |F|, in ascending ``raw`` order.  The arithmetic underneath
+        runs on raw coefficient values, one kernel per field (``_KERNELS``).
         """
         if self.is_zero():
             raise ValueError("zero polynomial")
         field = self.field
         p = self.monic()
         roots = []
-        if field == QQ:
-            while p.degree > 0 and (r := _rational_root(p)) is not None:
+        candidates = (_rational_roots(p) if field.char == 0
+                      else _distinct_roots(p))
+        for r in candidates:
+            linear = Poly(field, (-r, field.one))
+            quot, rem = divmod(p, linear)
+            while rem.is_zero():
                 roots.append(r)
-                p = p // Poly(field, (-r, field.one))
-        else:
-            for r in _distinct_roots(p):
-                linear = Poly(field, (-r, field.one))
+                p = quot
                 quot, rem = divmod(p, linear)
-                while rem.is_zero():
-                    roots.append(r)
-                    p = quot
-                    quot, rem = divmod(p, linear)
         if p.degree > 0:
             raise SplitError(
                 f"{self!r} does not split into linear factors over {field}")
         return roots
+
+
+# ------------------------------------------------------------ raw kernels
+# Each kernel works on lists of raw coefficient values (lowest degree first,
+# no trailing zeros, divisor nonzero and no longer than the dividend) and
+# returns canonical raw values, trimmed; Poly wraps them.
+
+def _trim(raws):
+    while raws and not raws[-1]:
+        raws.pop()
+    return raws
+
+
+def _monic(field, raws):
+    if not raws or raws[-1] == field._one_raw():
+        return raws
+    inv = field._inv(raws[-1])
+    return [field._mul(c, inv) for c in raws]
+
+
+def _convolve(a, b):
+    """The integer product of two integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _horner_mod(a, x, m):
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _clear(raws):
+    """Fractions as (integer numerators, their one common denominator)."""
+    den = lcm(*(c.denominator for c in raws))
+    if den == 1:
+        return [c.numerator for c in raws], 1
+    return [c.numerator * (den // c.denominator) for c in raws], den
+
+
+def _over(ints, den):
+    if den == 1:
+        return [Fraction(n) for n in ints]
+    return [Fraction(n, den) for n in ints]
+
+
+class _Rationals:
+    """QQ: integer numerators over one common denominator, so the inner
+    loops are integer operations, and one reduced Fraction per result
+    coefficient at exit."""
+
+    @staticmethod
+    def mul(field, a, b):
+        (an, ad), (bn, bd) = _clear(a), _clear(b)
+        return _over(_convolve(an, bn), ad * bd)
+
+    @staticmethod
+    def divmod(field, a, b):
+        # pseudo-division s A = Q B + R, where s grows only by the factor a
+        # quotient digit needs to be an integer (none when B is monic or
+        # the division is exact over Z)
+        (rem, ad), (bn, bd) = _clear(a), _clear(b)
+        lead, dd = bn[-1], len(bn) - 1
+        quot = [0] * (len(rem) - dd)
+        s = 1
+        for k in range(len(quot) - 1, -1, -1):
+            top = rem[dd + k]
+            if top % lead:
+                f = lead // gcd(top, lead)
+                s *= f
+                rem[:dd + k + 1] = [c * f for c in rem[:dd + k + 1]]
+                quot[k + 1:] = [c * f for c in quot[k + 1:]]
+                top = rem[dd + k]
+            c = quot[k] = top // lead
+            if c:
+                for j in range(dd):
+                    rem[j + k] -= c * bn[j]
+        # a = A/ad and b = B/bd, so a = (Q bd / (s ad)) b + R / (s ad)
+        return (_over([c * bd for c in quot], s * ad),
+                _over(_trim(rem[:dd]), s * ad))
+
+    @staticmethod
+    def eval(field, a, x):
+        an, ad = _clear(a)
+        xn, xd = x.numerator, x.denominator
+        acc, scale = an[-1], 1
+        for c in an[-2::-1]:
+            scale *= xd
+            acc = acc * xn + c * scale
+        return Fraction(acc, ad * scale)
+
+
+class _PrimeInts:
+    """GF(p): plain ints, reduced once per result coefficient."""
+
+    @staticmethod
+    def mul(field, a, b):
+        p = field.p
+        return [c % p for c in _convolve(a, b)]
+
+    @staticmethod
+    def divmod(field, a, b):
+        p, dd = field.p, len(b) - 1
+        inv = 1 if b[-1] == 1 else pow(b[-1], -1, p)
+        rem = list(a)
+        quot = [0] * (len(a) - dd)
+        for k in range(len(quot) - 1, -1, -1):
+            c = quot[k] = rem[dd + k] * inv % p
+            if c:
+                for j in range(dd):
+                    rem[j + k] -= c * b[j]
+        return quot, _trim([c % p for c in rem[:dd]])
+
+    @staticmethod
+    def eval(field, a, x):
+        return _horner_mod(a, x, field.p)
+
+
+class _BinaryPolys:
+    """GF(2^k): xor, and the field's raw product."""
+
+    @staticmethod
+    def mul(field, a, b):
+        mul = field._mul
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        out[i + j] ^= mul(x, y)
+        return out
+
+    @staticmethod
+    def divmod(field, a, b):
+        mul, dd = field._mul, len(b) - 1
+        inv = 1 if b[-1] == 1 else field._inv(b[-1])
+        rem = list(a)
+        quot = [0] * (len(a) - dd)
+        for k in range(len(quot) - 1, -1, -1):
+            c = quot[k] = mul(rem[dd + k], inv)
+            if c:
+                for j in range(dd):
+                    rem[j + k] ^= mul(c, b[j])
+        return quot, _trim(rem[:dd])
+
+    @staticmethod
+    def eval(field, a, x):
+        mul = field._mul
+        acc = 0
+        for c in reversed(a):
+            acc = mul(acc, x) ^ c
+        return acc
+
+
+_KERNELS = {RationalField: _Rationals, PrimeField: _PrimeInts,
+            BinaryField: _BinaryPolys}
+
+
+def _raw_gcd(field, a, b):
+    """Monic gcd of two raw coefficient lists (Euclid)."""
+    divmod_ = _KERNELS[type(field)].divmod
+    while b:
+        a, b = b, (a if len(a) < len(b) else divmod_(field, a, b)[1])
+    return _monic(field, a)
 
 
 def _pow_mod(base: Poly, n: int, mod: Poly) -> Poly:
@@ -297,41 +474,78 @@ def _distinct_roots(f: Poly):
     return sorted(roots, key=lambda r: r.raw)
 
 
-def _divisors(n):
-    n = abs(n)
+def _rational_roots(f: Poly):
+    """The distinct rational roots of f over QQ, and possibly a few numbers
+    that are not roots, in ascending (|numerator|, denominator) order,
+    positive before negative, 0 first; the caller keeps those that divide.
+
+    The nonzero roots are those of the squarefree part G of the primitive
+    integer polynomial, and a root n/d in lowest terms has n | G_0 and
+    d | G_lead.  For a small prime p dividing neither G_lead nor the
+    discriminant (G mod p squarefree), each root mod p is simple and lifts
+    by Newton's iteration to a unique root mod p^(2^i); once the modulus
+    exceeds 2 |G_0| |G_lead|, rational reconstruction recovers n/d from it
+    (von zur Gathen & Gerhard, Modern Computer Algebra, 5.10 and ch. 15).
+    """
+    raws = f._raws()
+    zeros = next(i for i, c in enumerate(raws) if c)
+    h = raws[zeros:]
+    out = [Fraction(0)] if zeros else []
+    if len(h) > 1:
+        dh = [i * c for i, c in enumerate(h)][1:]
+        g = _raw_gcd(QQ, h, dh)
+        if len(g) > 1:
+            h = _Rationals.divmod(QQ, h, g)[0]
+        out += sorted(_lifted_roots(_primitive(_clear(h)[0])),
+                      key=lambda x: (abs(x.numerator), x.denominator, x < 0))
+    return [QQ(x) for x in out]
+
+
+def _primitive(ints):
+    content = gcd(*ints)
+    return [c // content for c in ints]
+
+
+def _lifted_roots(g):
+    """Rational numbers n/d with g(n/d) = 0 mod a large prime power, one
+    per root of g mod a small prime, for squarefree integer g, g(0) != 0."""
+    dg = [i * c for i, c in enumerate(g)][1:]
+    p = 2
+    while True:
+        p += 1
+        if not _is_prime(p) or g[-1] % p == 0:
+            continue
+        field = PrimeField(p)
+        gp = [c % p for c in g]
+        if len(_raw_gcd(field, gp, _trim([c % p for c in dg]))) == 1:
+            break
+    bound = 2 * abs(g[0]) * abs(g[-1])
     out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
+    for root in _distinct_roots(Poly._from_raw(field, _monic(field, gp))):
+        a, m = root.raw, p
+        while m <= bound:
+            m *= m
+            a = (a - _horner_mod(g, a, m) * pow(_horner_mod(dg, a, m), -1, m)) % m
+        x = _reconstruct(a, m, abs(g[0]), abs(g[-1]))
+        if x is not None:
+            out.append(x)
+    return out
 
 
-def _rational_root(p: Poly):
-    # clear denominators to a primitive integer polynomial, then use the
-    # rational root theorem: roots are +- (divisor of a_0) / (divisor of lead)
-    from math import gcd, lcm
-
-    denoms = [c.raw.denominator for c in p.coeffs]
-    scale = lcm(*denoms) if denoms else 1
-    ints = [int(c.raw * scale) for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g:
-        ints = [c // g for c in ints]
-    lead, const = ints[-1], ints[0]
-    if const == 0:
-        return QQ(0)
-    for num in _divisors(const):
-        for den in _divisors(lead):
-            for sign in (1, -1):
-                cand = QQ(Fraction(sign * num, den))
-                if not p(cand):
-                    return cand
-    return None
+def _reconstruct(a, m, n_bound, d_bound):
+    """The fraction n/d with n = a d mod m, |n| <= n_bound, 0 < d <= d_bound,
+    or None; unique when m > 2 n_bound d_bound (extended Euclid, stopped at
+    the first remainder within n_bound)."""
+    r0, r1, t0, t1 = m, a, 0, 1
+    while r1 > n_bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    if t1 > d_bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
 
 
 class RatFunc:
@@ -346,18 +560,18 @@ class RatFunc:
     def __init__(self, num: Poly, den: Poly):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.field != den.field:
+        field = num.field
+        if den.field is not field and den.field != field:
             raise ValueError("field mismatch")
         if num.is_zero():
-            den = Poly.one(num.field)
+            den = Poly.one(field)
         else:
             g = poly_gcd(num, den)
             if g.degree > 0:
-                num = num // g
-                den = den // g
-            lead_inv = den.lead().inverse()
-            num = num * lead_inv
-            den = den * lead_inv
+                num, den = num // g, den // g
+            if den.lead() != field.one:
+                lead_inv = den.lead().inverse()
+                num, den = num * lead_inv, den * lead_inv
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -499,11 +713,7 @@ class RatFunc:
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd over the coefficient field (Euclid)."""
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
+    return Poly._from_raw(a.field, _raw_gcd(a.field, a._raws(), b._raws()))
 
 
 class Series:

@@ -272,6 +272,17 @@ def test_budget_roots_gf_mersenne61_degree6():
     _finish("roots_with_multiplicity over GF(2^61 - 1), degree 6", started, 1)
 
 
+def test_budget_roots_qq_degree6_roots_near_1000():
+    # trial division over the divisors of the constant term took 131 s here
+    started = time.monotonic()
+    roots = [QQ(x) for x in (997, Fraction(1001, 3), -1009, 1013, 1013,
+                             Fraction(-1019, 2))]
+    f = Poly.from_roots(QQ, roots) * QQ(Fraction(7, 5))
+    assert f.roots_with_multiplicity() == roots
+    _finish("roots_with_multiplicity over QQ, degree 6, roots near 1000",
+            started, 1)
+
+
 def test_budget_classify_gf1000003_r3(tmp_path, capsys):
     p = 1000003
     u = [999979, 999983, 1000001]

@@ -238,6 +238,15 @@ def test_diagram_validation():
         compose(BrauerDiagram.identity(2), BrauerDiagram.identity(3))
     with pytest.raises(ValueError):
         compose(BrauerDiagram.cap(1, 3), BrauerDiagram.cap(1, 2))
+    for f, n in ((2, 3), (-1, 3), (1, 1), (3, 5)):
+        with pytest.raises(ValueError):
+            BrauerDiagram.half_caps(f, n)
+    for perm in ([0, 5], [1, 1], [-1, 0], [0, 2]):
+        with pytest.raises(ValueError):
+            BrauerDiagram.permutation(perm)
+    assert BrauerDiagram.half_caps(0, 3) == BrauerDiagram.identity(3)
+    assert BrauerDiagram.half_caps(2, 4).horizontal_count() == 4
+    assert BrauerDiagram.permutation([]) == BrauerDiagram.identity(0)
 
 
 # ------------------------------------------------------------------ oracle

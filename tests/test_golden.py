@@ -9,6 +9,7 @@ import pytest
 
 from bmwparam.adm_degenerate import check_recursion
 from bmwparam.adm_nondegenerate import rui_xu_check, wilcox_yu_check
+from bmwparam.semiadm import detect
 from bmwparam.cli import main
 from bmwparam.fields import QQ, PrimeField
 from bmwparam.omega import (OmegaSeq, ParamSet, ParameterError,
@@ -135,6 +136,46 @@ def test_pm_identity_prefix_failure():
     honest = ParamSet("nondegenerate", QQ, h.u, OmegaSeq(QQ, h.omega.prefix),
                       rho=h.rho, q=h.q)
     assert verify_pm_identity(honest).passed
+
+
+def test_pm_identity_bare_prefix_certified_by_recursion():
+    # with no negatives stored they are solved from the two-sided relation,
+    # which alone would pass any prefix; the recursion catches omega_4 + 1
+    h = _honest_r2()
+    prefix = list(h.omega.prefix)
+    prefix[4] = prefix[4] + 1
+    params = ParamSet("nondegenerate", QQ, h.u, OmegaSeq(QQ, prefix),
+                      rho=h.rho, q=h.q)
+    rep = verify_pm_identity(params)
+    assert rep.summary() == ("recursion: FAIL, wplus-wminus-identity: pass  "
+                             "[recursion at 2: lhs = 1 != rhs = 0]")
+    honest = ParamSet("nondegenerate", QQ, h.u, OmegaSeq(QQ, h.omega.prefix),
+                      rho=h.rho, q=h.q)
+    assert verify_pm_identity(honest).summary() == (
+        "recursion: pass, wplus-wminus-identity: pass")
+    with pytest.raises(ParameterError) as ex:
+        verify_pm_identity(honest, 1)
+    assert str(ex.value) == (
+        "insufficient prefix: without stored negative indices the identity "
+        "is certified by the recursion, which needs omega_0..omega_2")
+
+
+# ------------------------------------------------------- preconditions
+
+def test_q_minus_qinv_zero_one_message():
+    message = "q - q^{-1} = 0 is outside the scope of these criteria"
+    qone = ParamSet("nondegenerate", QQ, (QQ(2),), OmegaSeq(QQ, (7, 1)),
+                    rho=QQ(1), q=QQ(1))
+    calls = [lambda: nondegenerate_params(QQ, [3], 3, 1),
+             lambda: verify_pm_identity(qone),
+             lambda: wilcox_yu_check(qone),
+             lambda: rui_xu_check(qone),
+             lambda: detect(qone),
+             lambda: affine_classify(qone)]
+    for call in calls:
+        with pytest.raises(ParameterError) as ex:
+            call()
+        assert str(ex.value) == message
 
 
 # ------------------------------------------------------------ recursions

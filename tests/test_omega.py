@@ -286,6 +286,20 @@ def test_pm_identity_perturbed_negative_prefix():
     assert rep.witness.index == 2
 
 
+def test_pm_identity_checks_stored_negatives_below_bound():
+    # three stored negatives, omega_{-2} tampered; the rest up to the bound
+    # are solved, and the stored ones are still the ones compared
+    ps = nondegenerate_params(QQ, [3], 3, 2, order=10)
+    tampered = list(omega_negative(ps, 3).negative)
+    tampered[1] = tampered[1] + QQ.one
+    bad = ParamSet("nondegenerate", QQ, ps.u,
+                   OmegaSeq(QQ, ps.omega.prefix, negative=tuple(tampered)),
+                   rho=ps.rho, q=ps.q)
+    rep = verify_pm_identity(bad, bound=8)
+    assert rep.checks == (("recursion", True), ("wplus-wminus-identity", False))
+    assert rep.witness.index == 2
+
+
 def test_pm_identity_perturbed_positive_with_stored_negative():
     ps = nondegenerate_params(QQ, [2, 5], 5, 2, order=12)
     seq = omega_negative(ps, 10)

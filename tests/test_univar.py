@@ -1,11 +1,12 @@
 import functools
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bmwparam.fields import QQ, BinaryField, PrimeField
+from bmwparam.fields import QQ, BinaryField, FieldElement, PrimeField
 from bmwparam.univar import (PoleAtInfinityError, Poly, RatFunc, Series,
                              SplitError, poly_gcd)
 
@@ -42,6 +43,112 @@ def _scan_roots(f):
                 f"{f!r} does not split into linear factors over {field}")
         roots.append(r)
         p = p // Poly(field, (-r, field.one))
+    return roots
+
+
+# element-wise polynomial arithmetic on tuples of field elements (lowest
+# degree first, no trailing zeros): the reference for the raw kernels
+def _ew_trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _ew_mul(field, a, b):
+    if not a or not b:
+        return ()
+    out = [field.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _ew_trim(out)
+
+
+def _ew_divmod(field, a, b):
+    if len(a) < len(b):
+        return (), tuple(a)
+    rem = list(a)
+    dd = len(b) - 1
+    inv_lead = b[-1].inverse()
+    quot = [field.zero] * (len(a) - dd)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[dd + k] * inv_lead
+        quot[k] = c
+        for j in range(dd + 1):
+            rem[j + k] = rem[j + k] - c * b[j]
+    return _ew_trim(quot), _ew_trim(rem[:dd])
+
+
+def _ew_eval(field, a, x):
+    acc = field.zero
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _ew_normalized(field, num, den):
+    """(num, den) / gcd with den monic, by Euclid on field elements."""
+    if not num:
+        return (), (field.one,)
+    a, b = num, den
+    while b:
+        a, b = b, _ew_divmod(field, a, b)[1]
+    num, den = _ew_divmod(field, num, a)[0], _ew_divmod(field, den, a)[0]
+    inv = den[-1].inverse()
+    return tuple(c * inv for c in num), tuple(c * inv for c in den)
+
+
+def _divisors(n):
+    n = abs(n)
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            out.append(n // d)
+        d += 1
+    return sorted(set(out))
+
+
+def _rational_root(coeffs):
+    """The first root of a Fraction coefficient list among 0, then
+    +- (divisor of a_0) / (divisor of lead) by the rational root theorem,
+    scanned by numerator, then denominator, then sign."""
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    content = gcd(*ints)
+    ints = [c // content for c in ints]
+    lead, const = ints[-1], ints[0]
+    if const == 0:
+        return Fraction(0)
+    for num in _divisors(const):
+        for den in _divisors(lead):
+            for sign in (1, -1):
+                cand = Fraction(sign * num, den)
+                acc = Fraction(0)
+                for c in reversed(coeffs):
+                    acc = acc * cand + c
+                if not acc:
+                    return cand
+    return None
+
+
+def _trial_division_roots(f):
+    """Roots of f over QQ by trial division, one root at a time, with plain
+    Fractions: the reference for the Hensel-lifting root finder."""
+    coeffs = [c.raw / f.coeffs[-1].raw for c in f.coeffs]
+    roots = []
+    while len(coeffs) > 1 and (r := _rational_root(coeffs)) is not None:
+        roots.append(QQ(r))
+        quot = [Fraction(0)] * (len(coeffs) - 1)
+        carry = Fraction(0)
+        for k in range(len(coeffs) - 1, 0, -1):
+            carry = carry * r + coeffs[k]
+            quot[k - 1] = carry
+        coeffs = quot
+    if len(coeffs) > 1:
+        raise SplitError(f"{f!r} does not split into linear factors over QQ")
     return roots
 
 
@@ -255,6 +362,95 @@ def test_roots_large_prime_against_sympy():
         assert factor.degree() == 1
         expected += [(-factor.all_coeffs()[1]) % p] * mult
     assert [r.raw for r in got] == sorted(expected) == sorted(raws)
+
+
+QQ_IRREDUCIBLE = [(1, 0, 1), (-2, 0, 1), (3, 1, 2), (-1, -1, 1),
+                  (Fraction(1, 3), 0, 5)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.just(Fraction(0)),
+                          st.builds(Fraction, st.integers(-9, 9),
+                                    st.integers(1, 4))), max_size=8),
+       st.integers(0, 3),
+       st.builds(Fraction, st.integers(1, 30), st.integers(1, 6)),
+       st.booleans(),
+       st.sampled_from([None] + QQ_IRREDUCIBLE))
+def test_rational_roots_match_trial_division(picks, repeats, scale, negate,
+                                            quadratic):
+    roots = picks + picks[:repeats]
+    f = Poly.from_roots(QQ, roots) * QQ(-scale if negate else scale)
+    if quadratic is not None:
+        f = f * Poly(QQ, quadratic)
+    try:
+        expected = _trial_division_roots(f)
+    except SplitError as ex:
+        with pytest.raises(SplitError) as got:
+            f.roots_with_multiplicity()
+        assert str(got.value) == str(ex)
+    else:
+        assert f.roots_with_multiplicity() == expected
+        assert sorted(r.raw for r in expected) == sorted(roots)
+
+
+def test_rational_roots_large_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    roots = [Fraction(997), Fraction(-991, 7), Fraction(1009), Fraction(1009),
+             Fraction(2**40 + 15, 3), Fraction(-1), Fraction(0)]
+    f = Poly.from_roots(QQ, [QQ(r) for r in roots]) * QQ(Fraction(-7, 9)) \
+        * Poly(QQ, (5, 0, 1))
+    t = sympy.symbols("t")
+    ref = sympy.Poly([sympy.Rational(c.raw.numerator, c.raw.denominator)
+                      for c in reversed(f.coeffs)], t, domain="QQ")
+    expected = []
+    for factor, mult in ref.factor_list()[1]:
+        if factor.degree() == 1:
+            a, b = factor.all_coeffs()
+            expected += [Fraction(int(-b.p * a.q), int(b.q * a.p))] * mult
+    with pytest.raises(SplitError):
+        f.roots_with_multiplicity()
+    got = (f // Poly(QQ, (5, 0, 1))).roots_with_multiplicity()
+    assert sorted(r.raw for r in got) == sorted(expected) == sorted(roots)
+    assert [r.raw for r in got] == sorted(
+        roots, key=lambda x: (abs(x.numerator), x.denominator, x < 0))
+
+
+def _poly_strategy(field, max_size):
+    if field == QQ:
+        coeff = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+    else:
+        coeff = st.integers(0, field.order - 1).map(
+            lambda raw: FieldElement(field, raw))
+    return st.lists(coeff, max_size=max_size).map(lambda cs: Poly(field, cs))
+
+
+KERNEL_FIELDS = st.one_of(st.just(QQ), st.sampled_from(SMALL_PRIMES).map(PrimeField),
+                          st.just(PrimeField(2**61 - 1)),
+                          st.integers(1, 8).map(BinaryField))
+
+
+@settings(max_examples=300, deadline=None)
+@given(KERNEL_FIELDS.flatmap(lambda F: st.tuples(
+    st.just(F), _poly_strategy(F, 7), _poly_strategy(F, 5),
+    _poly_strategy(F, 1))))
+def test_raw_kernels_match_elementwise(args):
+    field, a, b, x = args
+    x = x.coeff(0)
+    assert (a * b).coeffs == _ew_mul(field, a.coeffs, b.coeffs)
+    assert a(x) == _ew_eval(field, a.coeffs, x)
+    assert (a + b) - b == a and -(a - b) == b - a
+    if not a.is_zero():
+        inv = a.lead().inverse()
+        assert a.monic().coeffs == tuple(c * inv for c in a.coeffs)
+    if not b.is_zero():
+        quot, rem = divmod(a, b)
+        assert (quot.coeffs, rem.coeffs) == _ew_divmod(field, a.coeffs, b.coeffs)
+        # a RatFunc with a common factor b (t - x), normalized by Euclid
+        num = a * b * Poly.from_roots(field, [x])
+        den = b * b
+        f = RatFunc(num, den)
+        assert (f.num.coeffs, f.den.coeffs) == \
+            _ew_normalized(field, num.coeffs, den.coeffs)
 
 
 def test_poly_eval_and_shift():

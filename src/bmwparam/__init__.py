@@ -13,17 +13,16 @@ from .omega import (OmegaSeq, ParamSet, ParameterError, RXFunctions,
                     nondegenerate_params, omega_negative, rx_functions,
                     verify_pm_identity, wminus_ratfunc, wplus_ratfunc)
 from .adm_degenerate import (check_recursion, check_relations,
-                             check_u_admissible,
-                             equivalence_harness_degenerate)
-from .adm_nondegenerate import (equivalence_harness_nondegenerate,
-                                rui_xu_check, wilcox_yu_check)
-from .semiadm import (ConstraintError, Detection, b_prime, construct_example,
-                      detect, double_factorial_odd, rank_formula)
+                             check_u_admissible)
+from .adm_nondegenerate import rui_xu_check, wilcox_yu_check
+from .semiadm import (ConstraintError, Detection, construct_example, detect,
+                      rank_formula)
 from .diagrams import (BrauerDiagram, BrauerFactorization, CellDatum,
-                       IndexedSpanningElement, RegularMonomial, compose,
-                       count_ideal_spanning, count_regular,
-                       enumerate_diagrams, enumerate_ideal_spanning,
-                       enumerate_regular, extend_cell_datum, factorize)
+                       IndexedSpanningElement, RegularMonomial, b_prime,
+                       compose, count_ideal_spanning, count_regular,
+                       double_factorial_odd, enumerate_diagrams,
+                       enumerate_ideal_spanning, enumerate_regular,
+                       extend_cell_datum, factorize)
 from .rationality import (Char2Recovery, ClassifyError, FitError,
                           RationalityClassification, RecoveryError,
                           RecurrenceFit, affine_classify, char2_recover,

@@ -8,22 +8,16 @@ Three criteria, provably equivalent when applied over matching index windows:
   = -2 [r-j odd] a_j + [j even] a_{j+1} for 0 <= j <= r-1;
 * u-admissibility: omega_a = eta_a^+(u_1, ..., u_r) for all a >= 0.
 
-The first two together hold iff the third does; the harness at the bottom
-drives that equivalence over randomized samples in several characteristics,
-including 2.
+The first two together hold iff the third does.  The suite drives that
+equivalence over seeded random samples in several characteristics,
+including 2 (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import List, Tuple
-
 from . import symfun
-from .omega import (OmegaSeq, ParamSet, ParameterError, degenerate_params,
-                    first_residue)
+from .omega import ParamSet, ParameterError, first_residue
 from .report import AdmissibilityReport, Witness, single
-from .sampling import random_element
 
 DEFAULT_RECURSION_BOUND = 20
 
@@ -117,68 +111,3 @@ def full_check(params: ParamSet, bound=None) -> AdmissibilityReport:
     rep = check_recursion(params, ell_bound) \
         .combined_with(check_relations(params))
     return rep.combined_with(check_u_admissible(params, params.r + ell_bound))
-
-
-@dataclass(frozen=True)
-class HarnessReport:
-    """Result of a randomized two-sided equivalence drive."""
-
-    samples: int
-    agreements: int
-    disagreements: Tuple[str, ...]
-
-    @property
-    def passed(self):
-        return not self.disagreements and self.samples == self.agreements
-
-    def summary(self):
-        if self.passed:
-            return f"{self.samples} samples, all agree"
-        return (f"{self.samples} samples, {len(self.disagreements)} disagreements: "
-                + "; ".join(self.disagreements[:3]))
-
-
-def _tamper(field, prefix, rng):
-    idx = rng.randrange(len(prefix))
-    bumped = list(prefix)
-    bumped[idx] = bumped[idx] + field.one
-    return tuple(bumped)
-
-
-def equivalence_harness_degenerate(fields, samples=100, seed=0, r_max=4,
-                                   bound=6) -> HarnessReport:
-    """Drive (recursion and relations) <=> u-admissibility on seeded samples.
-
-    Each sample draws roots, then either keeps the honest sequence, tampers
-    with one coefficient, or replaces the tail with noise.  Both sides of the
-    equivalence are evaluated over matching windows and must agree.
-    """
-    rng = random.Random(seed)
-    disagreements: List[str] = []
-    total = 0
-    for field in fields:
-        for i in range(samples):
-            total += 1
-            r = rng.randint(1, r_max)
-            u = [random_element(field, rng) for _ in range(r)]
-            honest = degenerate_params(field, u, order=r + bound + 1)
-            mode = rng.choice(("honest", "tampered", "noise"))
-            if mode == "honest":
-                params = honest
-            else:
-                if mode == "tampered":
-                    prefix = _tamper(field, honest.omega.prefix, rng)
-                else:
-                    prefix = tuple(random_element(field, rng)
-                                   for _ in honest.omega.prefix)
-                seq = OmegaSeq(field, prefix)
-                params = ParamSet("degenerate", field, u, seq)
-            lhs = check_recursion(params, bound).passed \
-                and check_relations(params).passed
-            rhs = check_u_admissible(params, r + bound).passed
-            if lhs != rhs:
-                disagreements.append(
-                    f"{field} sample {i} ({mode}): recursion+relations={lhs} "
-                    f"but u-admissible={rhs}")
-    return HarnessReport(total, total - len(disagreements),
-                         tuple(disagreements))

@@ -22,22 +22,13 @@ isolated in :func:`wy_bracket_sums` and unit-tested on their own.
 
 from __future__ import annotations
 
-import math
-import random
-from typing import List
-
 from . import symfun
-from .omega import (OmegaSeq, ParamSet, ParameterError, RXFunctions,
-                    _ratfunc_report, _series_report, check_rho_constraint,
-                    checked_delta, nondegenerate_params, rx_functions,
+from .omega import (ParamSet, ParameterError, _ratfunc_report, _series_report,
+                    check_rho_constraint, checked_delta, rx_functions,
                     wplus_ratfunc)
 from .report import AdmissibilityReport, Witness, single
-from .sampling import random_element
-from .adm_degenerate import HarnessReport, _recursion_report
+from .adm_degenerate import _recursion_report
 from .univar import Series
-
-__all__ = ["RXFunctions", "rx_functions", "wy_bracket_sums", "check_recursion",
-           "wilcox_yu_check", "rui_xu_check", "equivalence_harness_nondegenerate"]
 
 
 def _require_nondegenerate(params: ParamSet):
@@ -138,86 +129,3 @@ def rui_xu_check(params: ParamSet, bound=None) -> AdmissibilityReport:
             name, Series(params.omega.prefix[:bound + 1]).scaled(delta),
             Z.series_at_infinity(bound))
     return report.combined_with(rho_report)
-
-
-def equivalence_harness_nondegenerate(fields, samples=100, seed=0, r_max=4,
-                                      bound=6) -> HarnessReport:
-    """Drive Wilcox-Yu <=> Rui-Xu agreement on seeded samples.
-
-    Samples mix honestly generated parameters (both rho branches), tampered
-    coefficients, wrong-rho variants, and noise sequences; the two criteria
-    must pass or fail together on every sample.
-    """
-    rng = random.Random(seed)
-    disagreements: List[str] = []
-    total = 0
-    for field in fields:
-        for i in range(samples):
-            total += 1
-            r = rng.randint(1, r_max)
-            u = [random_element(field, rng, nonzero=True) for _ in range(r)]
-            q = _random_q(field, rng)
-            rho = _branch_rho(rng, r, math.prod(u, start=field.one), q)
-            honest = nondegenerate_params(field, u, rho, q,
-                                          order=r + bound + 1)
-            mode = rng.choice(("honest", "tampered", "wrong-rho", "noise"))
-            params = honest
-            if mode == "tampered":
-                prefix = list(honest.omega.prefix)
-                idx = rng.randrange(1, len(prefix))
-                prefix[idx] = prefix[idx] + field.one
-                params = ParamSet("nondegenerate", field, tuple(u),
-                                  OmegaSeq(field, tuple(prefix)),
-                                  rho=rho, q=q)
-            elif mode == "wrong-rho":
-                # keep the sequence, swap in a rho consistent with the
-                # ground-ring relation for the same omega_0 but off-branch
-                params = _wrong_rho_variant(field, honest, rng)
-                if params is None:
-                    params = honest
-            elif mode == "noise":
-                prefix = [honest.omega.prefix[0]] + [
-                    random_element(field, rng)
-                    for _ in range(len(honest.omega.prefix) - 1)]
-                params = ParamSet("nondegenerate", field, tuple(u),
-                                  OmegaSeq(field, tuple(prefix)),
-                                  rho=rho, q=q)
-            wy = wilcox_yu_check(params, bound).passed
-            rx = rui_xu_check(params, r + bound).passed
-            if wy != rx:
-                disagreements.append(
-                    f"{field} sample {i} ({mode}): wilcox-yu={wy} rui-xu={rx}")
-    return HarnessReport(total, total - len(disagreements),
-                         tuple(disagreements))
-
-
-def _random_q(field, rng):
-    # every unit of GF(2) and GF(3) squares to 1, so no valid q exists there
-    for _ in range(10000):
-        q = random_element(field, rng, nonzero=True)
-        if q - q.inverse():
-            return q
-    raise ValueError(f"no q with q - q^{{-1}} != 0 in {field}")
-
-
-def _branch_rho(rng, r, prod_u, q):
-    if r % 2 == 1:
-        return prod_u if rng.random() < 0.5 else -prod_u
-    return q.inverse() * prod_u if rng.random() < 0.5 else -(q * prod_u)
-
-
-def _wrong_rho_variant(field, honest, rng):
-    """A rho off the admissible branch but still satisfying the ground-ring
-    relation with omega_0; returns None when no such rho exists."""
-    # the ground-ring relation makes rho a root of x^2 + c x - 1 with
-    # c = (q^{-1} - q)(omega_0 - 1); the roots multiply to -1, and the
-    # honest rho is one of them
-    other = -(honest.rho.inverse())
-    if other == honest.rho:
-        return None
-    seq = OmegaSeq(field, honest.omega.prefix)  # drop closure: exactness moot
-    try:
-        return ParamSet("nondegenerate", field, honest.u, seq,
-                        rho=other, q=honest.q)
-    except ParameterError:
-        return None

@@ -49,6 +49,15 @@ class ParamFile:
     d: Optional[int] = None
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_list(value, path):
+    if not isinstance(value, list):
+        raise ParamFileError(path, f"expected a list, got {value!r}")
+
+
 def parse_scalar(field: Field, value, path: str):
     if isinstance(value, bool) or isinstance(value, float):
         raise ParamFileError(path, f"floating point or boolean {value!r} rejected; "
@@ -65,6 +74,9 @@ def parse_scalar(field: Field, value, path: str):
                           f"got bare integer {value}")
             return field(value)
         if isinstance(value, list):
+            if not all(_is_int(c) for c in value):
+                raise ParamFileError(path, f"coefficients must be the ints 0 "
+                                           f"and 1, got {value!r}")
             return field(value)
     except (ValueError, ZeroDivisionError) as ex:
         if isinstance(ex, ParamFileError):
@@ -91,6 +103,12 @@ def parse_paramfile(doc, default_order=20) -> ParamFile:
     fdesc = doc.get("field")
     if not isinstance(fdesc, dict):
         raise ParamFileError("field", "missing field descriptor")
+    for key in ("p", "k"):
+        # integer strings stay accepted; int() would truncate a float
+        if key in fdesc and not (_is_int(fdesc[key])
+                                 or isinstance(fdesc[key], str)):
+            raise ParamFileError(f"field.{key}",
+                                 f"expected int, got {fdesc[key]!r}")
     try:
         field = field_from_descriptor(fdesc)
     except (ValueError, KeyError) as ex:
@@ -115,7 +133,7 @@ def parse_paramfile(doc, default_order=20) -> ParamFile:
     try:
         if omega.get("from_u"):
             order = omega.get("order", default_order)
-            if not isinstance(order, int) or order < len(u):
+            if not _is_int(order) or order < len(u):
                 raise ParamFileError("omega.order",
                                      f"order must be an int >= r, got {order!r}")
             if kind == "degenerate":
@@ -123,10 +141,12 @@ def parse_paramfile(doc, default_order=20) -> ParamFile:
             else:
                 params = nondegenerate_params(field, u, rho, q, order=order)
         elif "prefix" in omega:
+            _check_list(omega["prefix"], "omega.prefix")
             prefix = [parse_scalar(field, v, f"omega.prefix[{i}]")
                       for i, v in enumerate(omega["prefix"])]
             closure = None
             if "closure" in omega:
+                _check_list(omega["closure"], "omega.closure")
                 closure = tuple(
                     parse_scalar(field, v, f"omega.closure[{i}]")
                     for i, v in enumerate(omega["closure"]))
@@ -143,7 +163,7 @@ def parse_paramfile(doc, default_order=20) -> ParamFile:
     n = doc.get("n")
     d = doc.get("d")
     for name, val in (("n", n), ("d", d)):
-        if val is not None and not isinstance(val, int):
+        if val is not None and not _is_int(val):
             raise ParamFileError(name, f"expected int, got {val!r}")
     return ParamFile(params, n, d)
 

@@ -26,8 +26,7 @@ from typing import Optional, Tuple
 from . import symfun
 from .adm_degenerate import check_u_admissible
 from .adm_nondegenerate import rui_xu_check
-# b_prime and double_factorial_odd live in diagrams; re-exported here
-from .diagrams import b_prime, count_ideal_spanning, double_factorial_odd
+from .diagrams import count_ideal_spanning
 from .omega import OmegaSeq, ParamSet, ParameterError, checked_delta
 
 SUBSET_SEARCH_R_CAP = 8

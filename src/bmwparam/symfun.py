@@ -13,8 +13,11 @@ and the universal polynomials H_a obtained by solving the admissibility
 relations as a unitriangular linear system.  Everything is computed exactly;
 eta and H have integer coefficients, which is asserted rather than assumed.
 
-All builders accept either MPoly variables (symbolic mode) or field elements
-(evaluated mode).  Symbolic results are cached and must not be mutated.
+The functions taking a list xs (``elem_sym`` through ``eta_values``) run
+on any commutative ring elements, field elements or MPoly variables alike.
+The cached builders (``schur_q_poly``, ``half_q_poly``, ``eta_poly``,
+``universal_H``) take (a, r) and return MPoly results that must not be
+mutated.
 
 Every q_a, q_a / 2 and eta_a, evaluated in any characteristic or symbolic,
 comes from the integer polynomials h_a = q_a / 2 (a >= 1), computed by one
@@ -42,10 +45,6 @@ def _one_like(x):
     if isinstance(x, MPoly):
         return MPoly.const(x.nvars, 1)
     return x.field.one
-
-
-def _is_symbolic(xs):
-    return bool(xs) and isinstance(xs[0], MPoly)
 
 
 def elem_sym(k, xs):
@@ -96,19 +95,6 @@ def closure_coeffs(xs):
     return tuple(char_poly_coeffs(xs)[:len(xs)])
 
 
-def _poly_from_negated_roots(xs):
-    """Ascending coefficients of prod (y + x_j)."""
-    one = _one_like(xs[0])
-    coeffs = [one]
-    for x in xs:
-        nxt = [coeffs[0] * x]
-        for j in range(1, len(coeffs)):
-            nxt.append(coeffs[j - 1] + coeffs[j] * x)
-        nxt.append(coeffs[-1])
-        coeffs = nxt
-    return coeffs
-
-
 def _half_q_series(xs, order):
     """Coefficients [0, h_1, ..., h_order] of sum_{a>=1} h_a s^a, h_a = q_a / 2.
 
@@ -118,18 +104,20 @@ def _half_q_series(xs, order):
 
     The denominator has constant term 1, so this long division is integral:
     it runs over any ring, MPoly or field of any characteristic, with
-    O(r * order) multiplications.
+    O(r * order) multiplications.  prod (1 - x s) is the reversal of
+    prod (y - x) = sum a_j y^j, and eps_k = (-1)^k a_{r-k}, so
+
+        h_n = [n odd, n <= r] (-a_{r-n}) - sum_{k=1}^{min(n-1, r)} a_{r-k} h_{n-k}.
     """
     r = len(xs)
-    eps = _poly_from_negated_roots(xs)[::-1]  # eps[k] = eps_k(x)
-    zero = eps[0] * 0
+    rev = char_poly_coeffs(xs)[::-1]  # rev[k] = a_{r-k}
+    zero = rev[0] * 0
     h = [zero] * (order + 1)
     for n in range(1, order + 1):
-        acc = eps[n] if n <= r and n % 2 == 1 else zero
-        # h_n -= sum_k (-1)^k eps_k h_{n-k}; h_0 = 0 drops the k = n term
+        acc = -rev[n] if n <= r and n % 2 == 1 else zero
+        # h_0 = 0 drops the k = n term
         for k in range(1, min(n - 1, r) + 1):
-            term = eps[k] * h[n - k]
-            acc = acc + term if k % 2 == 1 else acc - term
+            acc = acc - rev[k] * h[n - k]
         h[n] = acc
     return h
 
@@ -177,13 +165,11 @@ def _half_q_polys(order: int, r: int):
 
 
 def half_q(a, xs):
-    """q_a / 2 as an integer polynomial, evaluated at xs if scalars are given.
+    """q_a / 2 as an integer polynomial, evaluated at xs.
 
     The value is that of the integer polynomial, so it is meaningful even in
     characteristic 2 where q_a itself vanishes for a >= 1.
     """
-    if _is_symbolic(xs):
-        return half_q_poly(a, len(xs))
     if a < 1:
         raise IndexError("q_0 / 2 = 1/2 is not an integer polynomial")
     return _half_q_series(xs, a)[a]
@@ -218,9 +204,9 @@ def _check_caps(a, r):
 
 
 def eta(sign, a, xs):
-    """eta_a^{+-}, symbolic for MPoly variables, evaluated for scalars."""
-    if _is_symbolic(xs):
-        return eta_poly(sign, a, len(xs))
+    """eta_a^{+-} evaluated at xs (field elements or MPoly variables)."""
+    if a < 0:
+        raise IndexError("eta_a needs a >= 0")
     return eta_values(sign, xs, a)[a]
 
 
@@ -281,55 +267,3 @@ def _universal_H_list(upto: int, r: int):
             acc = acc - acoeffs[j] * w[j + m]
         w[r + m] = acc
     return tuple(w)
-
-
-def eta_generating_series(sign, xs, order) -> Series:
-    """Closed generating form of the eta's, expanded to the given order:
-
-        sum_a eta_a^{+-} t^{-a}
-            = (1/2 - t) + (t +- (-1)^(r-1)/2) prod_i (t + u_i)/(t - u_i).
-
-    The product is expanded by long division of prod (t+u_i) by the monic
-    prod (t-u_i) in descending powers of t, an independent route from the
-    definitional one through the q_a.  Needs 1/2, hence characteristic != 2
-    (or symbolic mode).
-    """
-    r = len(xs)
-    if _is_symbolic(xs):
-        half = Fraction(1, 2)
-    else:
-        if xs[0].field.char == 2:
-            raise ValueError("closed generating form needs 1/2 in the ring")
-        half = xs[0].field(Fraction(1, 2))
-    num = _poly_from_negated_roots(xs)
-    den = char_poly_coeffs(xs)
-    g = _descending_division(num, den, order + 1)
-    c = half * ((1 if (r - 1) % 2 == 0 else -1) * (1 if sign > 0 else -1))
-    out = []
-    for a in range(order + 1):
-        val = g[a + 1] + g[a] * c
-        if a == 0:
-            val = val + half
-        out.append(val)
-    return Series(out)
-
-
-def _descending_division(num, den, order):
-    """Coefficients of t^{-k}, k = 0..order, of num/den at t = infinity.
-
-    num and den are ascending coefficient lists with den monic of degree
-    >= deg num, so no coefficient division occurs and the computation is
-    exact over any coefficient ring.
-    """
-    deg = len(den) - 1
-    zero = den[-1] * 0
-    rem = {i: c for i, c in enumerate(num)}
-    out = []
-    for k in range(order + 1):
-        c = rem.pop(deg - k, zero)
-        out.append(c)
-        if c != zero:
-            for j in range(deg):
-                idx = j - k
-                rem[idx] = rem.get(idx, zero) - c * den[j]
-    return out

@@ -654,8 +654,8 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # cross-multiplication; with normalized forms this is decisive
-        return self.num * o.den == o.num * self.den
+        # normalized forms are unique, so structural equality is decisive
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
         return hash((self.num, self.den))

@@ -1,0 +1,188 @@
+"""Test-side drivers and second routes to library values.
+
+* ``equivalence_disagreements`` drives a pair of admissibility criteria
+  that the theory proves equivalent over seeded random samples and lists
+  every sample on which they disagree.  ``draw_degenerate`` and
+  ``draw_nondegenerate`` make the samples; the criteria come in pairs:
+  ``recursion_and_relations`` / ``u_admissible`` and ``wilcox_yu`` /
+  ``rui_xu``.
+* ``eta_generating_series`` expands the closed generating form of the
+  eta's, independent of the q_a route that ``symfun.eta_values`` takes.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from fractions import Fraction
+
+from bmwparam import symfun
+from bmwparam.adm_degenerate import (check_recursion, check_relations,
+                                     check_u_admissible)
+from bmwparam.adm_nondegenerate import rui_xu_check, wilcox_yu_check
+from bmwparam.fields import QQ, FieldElement
+from bmwparam.mpoly import MPoly
+from bmwparam.omega import (OmegaSeq, ParamSet, degenerate_params,
+                            nondegenerate_params)
+
+
+# ------------------------------------------------------------ sampling
+def random_element(field, rng, nonzero=False):
+    """A random element; over Q a small fraction, over finite fields uniform."""
+    while True:
+        if field == QQ:
+            x = field(Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+        else:
+            # raw representations of both finite field kinds enumerate as 0..order-1
+            x = FieldElement(field, rng.randrange(field.order))
+        if x or not nonzero:
+            return x
+
+
+def draw_degenerate(field, rng, r_max=4, bound=6):
+    """(mode, params): roots, then the honest sequence, one coefficient
+    bumped by one, or a noise sequence."""
+    r = rng.randint(1, r_max)
+    u = [random_element(field, rng) for _ in range(r)]
+    honest = degenerate_params(field, u, order=r + bound + 1)
+    mode = rng.choice(("honest", "tampered", "noise"))
+    if mode == "honest":
+        return mode, honest
+    prefix = list(honest.omega.prefix)
+    if mode == "tampered":
+        idx = rng.randrange(len(prefix))
+        prefix[idx] = prefix[idx] + field.one
+    else:
+        prefix = [random_element(field, rng) for _ in prefix]
+    return mode, ParamSet("degenerate", field, u,
+                          OmegaSeq(field, tuple(prefix)))
+
+
+def draw_nondegenerate(field, rng, r_max=4, bound=6):
+    """(mode, params): honest parameters on either rho branch, one
+    coefficient past omega_0 bumped, a wrong-branch rho, or noise past
+    omega_0 (which the ground-ring relation ties to rho and q)."""
+    r = rng.randint(1, r_max)
+    u = [random_element(field, rng, nonzero=True) for _ in range(r)]
+    q = _random_q(field, rng)
+    prod_u = math.prod(u, start=field.one)
+    if r % 2 == 1:
+        rho = prod_u if rng.random() < 0.5 else -prod_u
+    else:
+        rho = q.inverse() * prod_u if rng.random() < 0.5 else -(q * prod_u)
+    honest = nondegenerate_params(field, u, rho, q, order=r + bound + 1)
+    mode = rng.choice(("honest", "tampered", "wrong-rho", "noise"))
+    prefix = list(honest.omega.prefix)
+    if mode == "honest":
+        return mode, honest
+    if mode == "tampered":
+        idx = rng.randrange(1, len(prefix))
+        prefix[idx] = prefix[idx] + field.one
+    elif mode == "noise":
+        prefix[1:] = [random_element(field, rng) for _ in prefix[1:]]
+    else:
+        # the ground-ring relation makes rho a root of x^2 + c x - 1 with
+        # c = (q^{-1} - q)(omega_0 - 1); the roots multiply to -1, and the
+        # honest rho is one of them.  The closure is dropped.
+        other = -(rho.inverse())
+        if other == rho:
+            return mode, honest
+        rho = other
+    return mode, ParamSet("nondegenerate", field, u,
+                          OmegaSeq(field, tuple(prefix)), rho=rho, q=q)
+
+
+def _random_q(field, rng):
+    # every unit of GF(2) and GF(3) squares to 1, so no valid q exists there
+    for _ in range(10000):
+        q = random_element(field, rng, nonzero=True)
+        if q - q.inverse():
+            return q
+    raise ValueError(f"no q with q - q^{{-1}} != 0 in {field}")
+
+
+# ------------------------------------------------------------ criteria
+# each takes (params, bound) over matched windows: l <= bound on the
+# recursion side, a <= r + bound on the series side
+def recursion_and_relations(params, bound):
+    return check_recursion(params, bound).passed \
+        and check_relations(params).passed
+
+
+def u_admissible(params, bound):
+    return check_u_admissible(params, params.r + bound).passed
+
+
+def wilcox_yu(params, bound):
+    return wilcox_yu_check(params, bound).passed
+
+
+def rui_xu(params, bound):
+    return rui_xu_check(params, params.r + bound).passed
+
+
+def equivalence_disagreements(draw, lhs, rhs, fields, samples, seed,
+                              r_max=4, bound=6):
+    """Every drawn sample on which the criteria lhs and rhs disagree.
+
+    One ``random.Random(seed)`` feeds ``draw(field, rng, r_max, bound)``
+    for ``samples`` samples per field, in order.
+    """
+    rng = random.Random(seed)
+    out = []
+    for field in fields:
+        for i in range(samples):
+            mode, params = draw(field, rng, r_max, bound)
+            left, right = lhs(params, bound), rhs(params, bound)
+            if left != right:
+                out.append(f"{field} sample {i} ({mode}): {lhs.__name__}="
+                           f"{left} but {rhs.__name__}={right}")
+    return out
+
+
+# ------------------------------------------------------------ eta
+def eta_generating_series(sign, xs, order):
+    """eta_0^{+-} .. eta_order^{+-} from the closed generating form
+
+        sum_a eta_a^{+-} t^{-a}
+            = (1/2 - t) + (t +- (-1)^(r-1)/2) prod_i (t + u_i)/(t - u_i),
+
+    the product expanded by long division of prod (t + u_i) by the monic
+    prod (t - u_i) in descending powers of t.  Needs 1/2 in the ring:
+    MPoly variables or a field of characteristic != 2.
+    """
+    r = len(xs)
+    if isinstance(xs[0], MPoly):
+        half = Fraction(1, 2)
+    else:
+        if xs[0].field.char == 2:
+            raise ValueError("closed generating form needs 1/2 in the ring")
+        half = xs[0].field(Fraction(1, 2))
+    num = symfun.char_poly_coeffs([-x for x in xs])
+    den = symfun.char_poly_coeffs(xs)
+    g = _descending_division(num, den, order + 1)
+    c = half * ((-1) ** (r - 1) * sign)
+    out = [g[a + 1] + g[a] * c for a in range(order + 1)]
+    out[0] = out[0] + half
+    return out
+
+
+def _descending_division(num, den, order):
+    """Coefficients of t^{-k}, k = 0..order, of num/den at t = infinity.
+
+    num and den are ascending coefficient lists with den monic of degree
+    >= deg num, so no coefficient division occurs and the computation is
+    exact over any coefficient ring.
+    """
+    deg = len(den) - 1
+    zero = den[-1] * 0
+    rem = {i: c for i, c in enumerate(num)}
+    out = []
+    for k in range(order + 1):
+        c = rem.pop(deg - k, zero)
+        out.append(c)
+        if c != zero:
+            for j in range(deg):
+                idx = j - k
+                rem[idx] = rem.get(idx, zero) - c * den[j]
+    return out

@@ -11,10 +11,12 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
+from oracles import (draw_degenerate, draw_nondegenerate,
+                     equivalence_disagreements, eta_generating_series,
+                     recursion_and_relations, rui_xu, u_admissible, wilcox_yu)
+
 from bmwparam import symfun
-from bmwparam.adm_degenerate import equivalence_harness_degenerate
-from bmwparam.adm_nondegenerate import (equivalence_harness_nondegenerate,
-                                        rui_xu_check, wilcox_yu_check)
+from bmwparam.adm_nondegenerate import rui_xu_check, wilcox_yu_check
 from bmwparam.cli import main
 from bmwparam.diagrams import (count_ideal_spanning, enumerate_diagrams,
                                enumerate_ideal_spanning, enumerate_regular,
@@ -49,27 +51,39 @@ def test_criterion_1_symmetric_function_identities():
     for r in range(1, 5):
         u = MPoly.variables(r)
         for sign in (+1, -1):
-            gen = symfun.eta_generating_series(sign, u, 12)
+            gen = eta_generating_series(sign, u, 12)
             for a in range(13):
                 assert gen[a] == symfun.eta_poly(sign, a, r), (r, sign, a)
     _finish("1 (symmetric-function identities)", started, 10)
 
 
+def _counted(draw, drawn):
+    def counting_draw(*args):
+        drawn.append(args[0])
+        return draw(*args)
+    return counting_draw
+
+
 def test_criterion_2_degenerate_equivalence():
     started = time.monotonic()
-    report = equivalence_harness_degenerate(
-        [QQ, PrimeField(5), PrimeField(2)], samples=100, seed=7451, r_max=4)
-    assert report.passed, report.summary()
-    assert report.samples == 300
+    drawn = []
+    bad = equivalence_disagreements(
+        _counted(draw_degenerate, drawn), recursion_and_relations,
+        u_admissible, [QQ, PrimeField(5), PrimeField(2)], samples=100,
+        seed=7451, r_max=4)
+    assert not bad, bad[:3]
+    assert len(drawn) == 300
     _finish("2 (degenerate equivalence over Q, GF(5), GF(2))", started, 10)
 
 
 def test_criterion_3_nondegenerate_equivalence():
     started = time.monotonic()
-    report = equivalence_harness_nondegenerate(
+    drawn = []
+    bad = equivalence_disagreements(
+        _counted(draw_nondegenerate, drawn), wilcox_yu, rui_xu,
         [QQ, PrimeField(13)], samples=100, seed=41210, r_max=4)
-    assert report.passed, report.summary()
-    assert report.samples == 200
+    assert not bad, bad[:3]
+    assert len(drawn) == 200
     # every rho branch exercised explicitly
     branch_cases = [
         ([3, 5, 7], Fraction(105), 2),            # r odd, rho = +p

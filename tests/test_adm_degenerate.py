@@ -1,12 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
+from oracles import (draw_degenerate, equivalence_disagreements,
+                     recursion_and_relations, u_admissible)
 
 from bmwparam import symfun
 from bmwparam.adm_degenerate import (check_recursion, check_relations,
-                                     check_u_admissible,
-                                     equivalence_harness_degenerate,
-                                     full_check)
+                                     check_u_admissible, full_check)
 from bmwparam.fields import QQ, BinaryField, PrimeField
 from bmwparam.omega import OmegaSeq, ParamSet, ParameterError, degenerate_params
 
@@ -80,22 +81,26 @@ def test_kind_guard():
         check_relations(ps)
 
 
+def _disagreements(fields, samples, seed):
+    return equivalence_disagreements(draw_degenerate, recursion_and_relations,
+                                     u_admissible, fields, samples, seed)
+
+
 def test_harness_three_characteristics():
-    rep = equivalence_harness_degenerate(
-        [QQ, PrimeField(5), PrimeField(2)], samples=60, seed=123)
-    assert rep.passed, rep.summary()
-    assert rep.samples == 180
+    bad = _disagreements([QQ, PrimeField(5), PrimeField(2)], 60, 123)
+    assert not bad, bad[:3]
 
 
 def test_harness_deterministic():
-    a = equivalence_harness_degenerate([PrimeField(5)], samples=25, seed=9)
-    b = equivalence_harness_degenerate([PrimeField(5)], samples=25, seed=9)
-    assert a == b
+    a, b = random.Random(9), random.Random(9)
+    for _ in range(25):
+        assert draw_degenerate(PrimeField(5), a) == \
+            draw_degenerate(PrimeField(5), b)
 
 
 def test_harness_binary_field():
-    rep = equivalence_harness_degenerate([BinaryField(3)], samples=30, seed=5)
-    assert rep.passed, rep.summary()
+    bad = _disagreements([BinaryField(3)], 30, 5)
+    assert not bad, bad[:3]
 
 
 def test_generated_sequences_satisfy_recursion_to_twenty():
@@ -107,7 +112,6 @@ def test_generated_sequences_satisfy_recursion_to_twenty():
 
 
 def test_honest_samples_pass_both_sides():
-    import random
     rng = random.Random(99)
     for field in (QQ, PrimeField(5), PrimeField(2)):
         for _ in range(15):
@@ -119,7 +123,6 @@ def test_honest_samples_pass_both_sides():
 
 
 def test_tampered_samples_fail_both_sides():
-    import random
     rng = random.Random(100)
     for field in (QQ, PrimeField(5), PrimeField(2)):
         for _ in range(15):

@@ -1,12 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
+from oracles import (draw_nondegenerate, equivalence_disagreements, rui_xu,
+                     wilcox_yu)
 
 from bmwparam import symfun
-from bmwparam.adm_nondegenerate import (equivalence_harness_nondegenerate,
-                                        rui_xu_check, wilcox_yu_check,
+from bmwparam.adm_nondegenerate import (rui_xu_check, wilcox_yu_check,
                                         wy_bracket_sums)
-from bmwparam.fields import QQ, PrimeField
+from bmwparam.fields import QQ, BinaryField, PrimeField
 from bmwparam.omega import (OmegaSeq, ParamSet, ParameterError,
                             nondegenerate_params)
 
@@ -121,30 +123,33 @@ def test_hand_built_rank_one_equivalence():
     assert not rui_xu_check(bad).passed
 
 
+def _disagreements(fields, samples, seed):
+    return equivalence_disagreements(draw_nondegenerate, wilcox_yu, rui_xu,
+                                     fields, samples, seed)
+
+
 def test_harness_rationals_and_gf13():
-    rep = equivalence_harness_nondegenerate([QQ], samples=60, seed=21)
-    assert rep.passed, rep.summary()
-    rep13 = equivalence_harness_nondegenerate([PrimeField(13)], samples=50, seed=22)
-    assert rep13.passed, rep13.summary()
+    bad = _disagreements([QQ], 60, 21)
+    assert not bad, bad[:3]
+    bad = _disagreements([PrimeField(13)], 50, 22)
+    assert not bad, bad[:3]
 
 
 def test_harness_deterministic():
-    a = equivalence_harness_nondegenerate([PrimeField(13)], samples=20, seed=3)
-    b = equivalence_harness_nondegenerate([PrimeField(13)], samples=20, seed=3)
-    assert a == b
+    a, b = random.Random(3), random.Random(3)
+    for _ in range(20):
+        assert draw_nondegenerate(PrimeField(13), a) == \
+            draw_nondegenerate(PrimeField(13), b)
 
 
 def test_harness_binary_fields():
     # characteristic 2 is fine on the non-degenerate side as long as
     # q - q^{-1} != 0; the criteria still have to agree
-    from bmwparam.fields import BinaryField
     for k in (2, 3):
-        rep = equivalence_harness_nondegenerate([BinaryField(k)],
-                                                samples=40, seed=k)
-        assert rep.passed, (k, rep.summary())
+        bad = _disagreements([BinaryField(k)], 40, k)
+        assert not bad, (k, bad[:3])
 
 
 def test_harness_rejects_fields_without_valid_q():
-    from bmwparam.fields import PrimeField
     with pytest.raises(ValueError, match="no q"):
-        equivalence_harness_nondegenerate([PrimeField(3)], samples=1, seed=0)
+        draw_nondegenerate(PrimeField(3), random.Random(0))

@@ -316,3 +316,30 @@ def test_broken_pipe_exits_2(tmp_path, monkeypatch, capsys):
         assert main(["gen-omega", "--file", path]) == 2
     monkeypatch.undo()
     assert capsys.readouterr().err == ""
+
+
+BASE_DEG = {"kind": "degenerate", "field": {"type": "rational"}, "u": ["2"],
+            "omega": {"from_u": True, "order": 6}}
+BINARY = {"type": "binary", "k": 2}
+
+
+@pytest.mark.parametrize("override, path", [
+    ({"field": {"type": "prime", "p": 7.9}, "u": [2]}, "field.p"),
+    ({"field": {"type": "binary", "k": 2.5}, "u": [[1]]}, "field.k"),
+    ({"field": {"type": "binary", "k": [1]}, "u": [[1]]}, "field.k"),
+    ({"field": {"type": "prime", "p": True}, "u": [1]}, "field.p"),
+    ({"omega": {"prefix": 5}}, "omega.prefix"),
+    ({"omega": {"prefix": ["5"], "closure": 3}}, "omega.closure"),
+    ({"field": BINARY, "u": [[0, 1.0]]}, "u[0]"),
+    ({"field": BINARY, "u": [[1], [True, 1]]}, "u[1]"),
+    ({"field": BINARY, "omega": {"prefix": [[1], [1.0]]}, "u": [[1]]},
+     "omega.prefix[1]"),
+    ({"omega": {"from_u": True, "order": True}}, "omega.order"),
+    ({"n": True}, "n"),
+    ({"d": True}, "d"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_malformed_document_exits_2_with_path(tmp_path, capsys, override, path):
+    doc = dict(BASE_DEG, **override)
+    code, _, err = run(capsys, "check", "--file", write(tmp_path, doc))
+    assert code == 2
+    assert err.startswith(f"error: {path}:"), err

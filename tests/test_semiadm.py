@@ -5,11 +5,12 @@ from itertools import combinations
 import pytest
 
 from bmwparam import symfun
+from bmwparam.diagrams import b_prime, double_factorial_odd
 from bmwparam.fields import QQ, BinaryField, PrimeField
 from bmwparam.omega import OmegaSeq, ParamSet, degenerate_params, nondegenerate_params
 from bmwparam.semiadm import (ADMISSIBLE, HECKE_COLLAPSE, SEMI_ADMISSIBLE,
-                              ConstraintError, b_prime, construct_example,
-                              detect, double_factorial_odd, rank_formula)
+                              ConstraintError, construct_example, detect,
+                              rank_formula)
 
 
 # ---------------------------------------------------------------- oracle

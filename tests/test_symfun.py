@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import eta_generating_series
 
 from bmwparam import symfun
 from bmwparam.fields import QQ, BinaryField, FieldElement, PrimeField
@@ -147,6 +148,19 @@ def test_eta_integrality():
                 assert symfun.eta_poly(sign, a, r).is_integral()
 
 
+def test_evaluators_on_variables_match_cached_builders():
+    for r in range(1, 5):
+        u = MPoly.variables(r)
+        for a in range(10):
+            for sign in (+1, -1):
+                assert symfun.eta(sign, a, u) == symfun.eta_poly(sign, a, r)
+            if a:
+                assert symfun.half_q(a, u) == symfun.half_q_poly(a, r)
+                assert symfun.schur_q(a, u) == symfun.schur_q_poly(a, r)
+    with pytest.raises(IndexError):
+        symfun.eta(+1, -1, MPoly.variables(2))
+
+
 def test_eta_symmetry():
     for r in (2, 3, 4):
         p = symfun.eta_poly(+1, 4, r)
@@ -158,18 +172,16 @@ def test_eta_generating_series_matches_definition():
     for r in (1, 2, 3):
         u = MPoly.variables(r)
         for sign in (+1, -1):
-            gen = symfun.eta_generating_series(sign, u, 8)
+            gen = eta_generating_series(sign, u, 8)
             for a in range(9):
                 assert gen[a] == symfun.eta_poly(sign, a, r), (r, sign, a)
 
 
 def test_eta_generating_series_numeric():
     us = [QQ(3), QQ(Fraction(-1, 2))]
-    gen = symfun.eta_generating_series(+1, us, 10)
-    vals = symfun.eta_values(+1, us, 10)
-    assert list(gen.coeffs) == vals
+    assert eta_generating_series(+1, us, 10) == symfun.eta_values(+1, us, 10)
     with pytest.raises(ValueError):
-        symfun.eta_generating_series(+1, [PrimeField(2)(1)], 4)
+        eta_generating_series(+1, [PrimeField(2)(1)], 4)
 
 
 # ------------------------------------------------------------- mod 4

@@ -453,6 +453,25 @@ def test_raw_kernels_match_elementwise(args):
             _ew_normalized(field, num.coeffs, den.coeffs)
 
 
+@settings(max_examples=200, deadline=None)
+@given(KERNEL_FIELDS.flatmap(lambda F: st.tuples(
+    st.just(F), *(_poly_strategy(F, 4) for _ in range(5)))))
+def test_ratfunc_eq_matches_cross_multiplication(args):
+    field, a, b, c, d, e = args
+    b, c, e = (p if not p.is_zero() else Poly.one(field) for p in (b, c, e))
+    f = RatFunc(a, b)
+    g = RatFunc(d, e)
+    same = [RatFunc(a * c, b * c),                    # a common factor
+            RatFunc.from_poly(a) / RatFunc.from_poly(b),
+            (f + g) - g,
+            f.substitute_inverse_t().substitute_inverse_t()]
+    for h in same + [g, g * f, f + 1]:
+        assert (f == h) == (f.num * h.den == h.num * f.den)
+        assert (h == f) == (f == h)
+    for h in same:
+        assert f == h and hash(f) == hash(h)
+
+
 def test_poly_eval_and_shift():
     p = Poly(QQ, (1, 2, 1))
     assert p(QQ(3)) == QQ(16)

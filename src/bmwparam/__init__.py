@@ -9,9 +9,9 @@ from .univar import PoleAtInfinityError, Poly, RatFunc, Series, SplitError
 from .symfun import (char_poly_coeffs, elem_sym, eta, eta_poly, eta_values,
                      half_q, power_sum, schur_q, schur_q_series, universal_H)
 from .omega import (OmegaSeq, ParamSet, ParameterError, RXFunctions,
-                    degenerate_params, extend_by_recursion,
-                    nondegenerate_params, omega_negative, rx_functions,
-                    verify_pm_identity, wminus_ratfunc, wplus_ratfunc)
+                    degenerate_params, nondegenerate_params,
+                    omega_negative, rx_functions, verify_pm_identity,
+                    wminus_ratfunc, wplus_ratfunc)
 from .adm_degenerate import (check_recursion, check_relations,
                              check_u_admissible)
 from .adm_nondegenerate import rui_xu_check, wilcox_yu_check

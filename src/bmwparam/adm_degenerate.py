@@ -18,6 +18,7 @@ from __future__ import annotations
 from . import symfun
 from .omega import ParamSet, ParameterError, first_residue
 from .report import AdmissibilityReport, Witness, single
+from .univar import recurrence_apply
 
 DEFAULT_RECURSION_BOUND = 20
 
@@ -68,15 +69,13 @@ def check_relations(params: ParamSet) -> AdmissibilityReport:
         raise ParameterError(
             f"insufficient prefix: need omega_0..omega_{r - 1}")
     acoeffs = _acoeffs(params)
-    om = params.omega.prefix
     zero = params.field.zero
     two = params.field.one + params.field.one
+    # the left side of relation j is the recursion's residue at omega_{r-1-j};
     # scan in the unitriangular solve order j = r-1, ..., 0, so a failure is
     # reported at the relation where the offending omega first appears alone
-    for j in range(r - 1, -1, -1):
-        lhs = zero
-        for mu in range(r - j):
-            lhs = lhs + om[mu] * acoeffs[mu + j + 1]
+    residues = recurrence_apply(acoeffs[-2::-1], params.omega.prefix, 0, r)
+    for j, lhs in zip(range(r - 1, -1, -1), residues):
         rhs = zero
         if (r - j) % 2 == 1:
             rhs = rhs - two * acoeffs[j]

@@ -198,14 +198,25 @@ def cmd_construct_example(args):
     return PASS
 
 
+_ROOT_DRAW_MAX = 50
+
+
 def _generic_roots(field, rng, count):
     # pairwise x != +-y, none in {0, +-1/2}: the guarantees of the
-    # semi-admissible construction
+    # semi-admissible construction, so each class {x, -x} of the draws
+    # 1.._ROOT_DRAW_MAX gives at most one root
     half = field(Fraction(1, 2))
     chosen = []
     banned = {field.zero, half, -half}
+    draws = map(field, range(1, _ROOT_DRAW_MAX + 1))
+    classes = {frozenset((x, -x)) for x in draws if x not in banned}
+    if count > len(classes):
+        raise ValueError(
+            f"--r {count} needs {count} roots pairwise x != +-y, outside "
+            f"{{0, +-1/2}}; draws from 1..{_ROOT_DRAW_MAX} in {field} give "
+            f"only {len(classes)}")
     while len(chosen) < count:
-        x = field(rng.randint(1, 50))
+        x = field(rng.randint(1, _ROOT_DRAW_MAX))
         if x in banned or any(x == y or x == -y for y in chosen):
             continue
         chosen.append(x)

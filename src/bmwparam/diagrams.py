@@ -71,12 +71,6 @@ class BrauerDiagram:
         return cls.from_pairs(n, pairs)
 
     @classmethod
-    def transposition(cls, i: int, n: int) -> "BrauerDiagram":
-        perm = list(range(n))
-        perm[i - 1], perm[i] = perm[i], perm[i - 1]
-        return cls.permutation(perm)
-
-    @classmethod
     def permutation(cls, perm) -> "BrauerDiagram":
         """Diagram of a permutation given 0-based: bottom i to top perm[i]."""
         n = len(perm)
@@ -123,10 +117,6 @@ class BrauerDiagram:
         # number of bottom vertices on one
         n = self.n
         return sum(w < n for w in self.partner[:n])
-
-    def is_permutation(self) -> bool:
-        n = self.n
-        return all(w >= n for w in self.partner[:n])
 
     def __eq__(self, other):
         if not isinstance(other, BrauerDiagram):

@@ -99,11 +99,12 @@ class FieldElement:
         return FieldElement(self.field, self.field._inv(self.raw))
 
     def __eq__(self, other):
-        o = self._coerce(other) if not isinstance(other, FieldElement) else other
-        if o is None or not isinstance(o, FieldElement):
+        # elements equal only elements of the same field, never an int or a
+        # Fraction, so that equal values hash alike
+        if not isinstance(other, FieldElement):
             return NotImplemented
-        return ((o.field is self.field or o.field == self.field)
-                and self.raw == o.raw)
+        return ((other.field is self.field or other.field == self.field)
+                and self.raw == other.raw)
 
     def __hash__(self):
         return hash((self.field, self.raw))

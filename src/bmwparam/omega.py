@@ -25,7 +25,8 @@ from typing import NamedTuple, Optional, Tuple
 from . import symfun
 from .fields import Field, FieldElement
 from .report import AdmissibilityReport, Witness, single
-from .univar import Poly, RatFunc, Series
+from .univar import (Poly, RatFunc, Series, recurrence_apply,
+                     recurrence_solve)
 
 
 class ParameterError(ValueError):
@@ -88,31 +89,28 @@ class OmegaSeq:
         """Extend the prefix through index upto using the closure."""
         if self.closure is None:
             raise ParameterError("cannot extend a sequence without closure")
-        r = len(self.closure)
-        if len(self.prefix) < r:
+        r, n = len(self.closure), len(self.prefix)
+        if n < r:
             raise ParameterError(
-                f"prefix of length {len(self.prefix)} cannot seed an order-{r} recursion")
-        vals = list(self.prefix)
-        while len(vals) <= upto:
-            acc = self.field.zero
-            ell = len(vals) - r
-            for j, aj in enumerate(self.closure):
-                acc = acc - aj * vals[j + ell]
-            vals.append(acc)
-        return OmegaSeq(self.field, tuple(vals), self.closure, self.negative)
+                f"prefix of length {n} cannot seed an order-{r} recursion")
+        # rerun the recursion from the last r stored terms; an order-0
+        # closure makes omega vanish
+        conn = self.closure[::-1]
+        head = recurrence_apply(conn, self.prefix[n - r:], 0, r) \
+            or [self.field.zero]
+        tail = recurrence_solve(conn, head, upto + 1 - n + r)[r:]
+        return OmegaSeq(self.field, self.prefix + tuple(tail), self.closure,
+                        self.negative)
 
     def _backward(self, upto: int):
-        """omega_{-1}..omega_{-upto} by running the closure backwards."""
-        a0inv = self.closure[0].inverse()
+        """omega_{-1}..omega_{-upto} by running the closure backwards:
+        b_m = omega_{r-1-m} satisfies the reversed recursion, divided
+        through by a_0."""
         r = len(self.closure)
-        vals = {a: c for a, c in enumerate(self.prefix)}
-        for a in range(-1, -upto - 1, -1):
-            # omega_a = -a_0^{-1} (omega_{a+r} + sum_{j>=1} a_j omega_{a+j})
-            acc = vals[a + r]
-            for j in range(1, r):
-                acc = acc + self.closure[j] * vals[a + j]
-            vals[a] = -(a0inv * acc)
-        return tuple(vals[-k] for k in range(1, upto + 1))
+        a0inv = self.closure[0].inverse()
+        conn = [aj * a0inv for aj in self.closure[1:]] + [a0inv]
+        head = recurrence_apply(conn, self.prefix[r - 1::-1], 0, r)
+        return tuple(recurrence_solve(conn, head, r + upto)[r:])
 
     def with_negative(self, negative) -> "OmegaSeq":
         return OmegaSeq(self.field, self.prefix, self.closure, tuple(negative))
@@ -123,13 +121,8 @@ def first_residue(coeffs, values, count):
     values[r+l] + sum_j coeffs[j] values[j+l] = 0 (r = len(coeffs)) leaves a
     nonzero residue; None when it holds for every such l."""
     r = len(coeffs)
-    for ell in range(count):
-        acc = values[r + ell]
-        for j, aj in enumerate(coeffs):
-            acc = acc + aj * values[j + ell]
-        if acc:
-            return ell, acc
-    return None
+    residues = recurrence_apply(coeffs[::-1], values, r, r + count)
+    return next(((ell, res) for ell, res in enumerate(residues) if res), None)
 
 
 @dataclass(frozen=True)
@@ -292,17 +285,6 @@ def nondegenerate_params(field, u, rho, q, order=None) -> ParamSet:
     return ParamSet("nondegenerate", field, u, seq, rho=rho, q=q)
 
 
-def extend_by_recursion(seq: OmegaSeq, coeffs, upto: int) -> OmegaSeq:
-    """Extend the prefix to index upto with the monic recursion given by
-    coeffs = (a_0..a_{r-1}); the closure is recorded on the result."""
-    coeffs = tuple(seq.field(c) for c in coeffs)
-    if len(seq.prefix) < len(coeffs):
-        raise ParameterError(
-            f"prefix length {len(seq.prefix)} < recursion order {len(coeffs)}")
-    base = OmegaSeq(seq.field, seq.prefix, coeffs, seq.negative)
-    return base.extended(upto)
-
-
 def omega_negative(params: ParamSet, count: int) -> OmegaSeq:
     """Solve for omega_{-1}..omega_{-count} from the two-sided relation
 
@@ -347,8 +329,9 @@ def wplus_ratfunc(seq: OmegaSeq) -> RatFunc:
     """w^+(t) = sum_{a>=0} omega_a t^{-a} as an exact rational function.
 
     With p(t) the monic closure polynomial, p(t) w^+(t) is the polynomial
-    whose t^k coefficient is sum_{j=k}^r a_j omega_{j-k}; the constant term
-    vanishes by the recursion, so w^+(0) = 0 and w^+(infinity) = omega_0.
+    whose t^k coefficient is sum_{j=k}^r a_j omega_{j-k}, the residue of
+    the recursion at omega_{r-k} (k = 1..r); the constant term vanishes by
+    the recursion, so w^+(0) = 0 and w^+(infinity) = omega_0.
     """
     if seq.closure is None:
         raise ParameterError("w^+ needs a recursion closure")
@@ -356,15 +339,9 @@ def wplus_ratfunc(seq: OmegaSeq) -> RatFunc:
     r = len(seq.closure)
     if len(seq.prefix) < r:
         raise ParameterError("prefix shorter than closure order")
-    acoeffs = list(seq.closure) + [field.one]
-    den = Poly(field, acoeffs)
-    num = [field.zero]
-    for k in range(1, r + 1):
-        acc = field.zero
-        for j in range(k, r + 1):
-            acc = acc + acoeffs[j] * seq.prefix[j - k]
-        num.append(acc)
-    return RatFunc(Poly(field, num), den)
+    head = recurrence_apply(seq.closure[::-1], seq.prefix, 0, r)
+    return RatFunc(Poly(field, [field.zero] + head[::-1]),
+                   Poly(field, seq.closure + (field.one,)))
 
 
 def wminus_ratfunc(seq: OmegaSeq) -> RatFunc:

@@ -28,10 +28,9 @@ from typing import Optional, Tuple
 
 from .adm_nondegenerate import rui_xu_check
 from .omega import (ParamSet, ParameterError, _g_ratfunc, _pm_factors_rat,
-                    checked_delta, first_residue, wminus_ratfunc,
-                    wplus_ratfunc)
+                    checked_delta, wminus_ratfunc, wplus_ratfunc)
 from .report import AdmissibilityReport, Witness, single
-from .univar import Poly, RatFunc, SplitError
+from .univar import Poly, RatFunc, SplitError, recurrence_apply
 
 
 class FitError(ValueError):
@@ -111,11 +110,11 @@ def fit_recurrence(field, prefix) -> RecurrenceFit:
         raise FitError(
             f"no recursion within half the prefix length (minimal order {L}, "
             f"prefix {n})")
-    coeffs = tuple(conn[L - 1 - j] for j in range(L))  # a_j = c_{L-j}
-    bad = first_residue(coeffs, prefix, n - L)
+    residues = recurrence_apply(conn, prefix, L, n)
+    bad = next((ell for ell, res in enumerate(residues) if res), None)
     if bad is not None:
-        raise FitError(f"fitted recursion breaks at l={bad[0]}")
-    return RecurrenceFit(L, coeffs, n - 1)
+        raise FitError(f"fitted recursion breaks at l={bad}")
+    return RecurrenceFit(L, tuple(reversed(conn)), n - 1)  # a_j = c_{L-j}
 
 
 def weak_admissibility_check(field, prefix) -> AdmissibilityReport:

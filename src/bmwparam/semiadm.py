@@ -27,7 +27,8 @@ from . import symfun
 from .adm_degenerate import check_u_admissible
 from .adm_nondegenerate import rui_xu_check
 from .diagrams import count_ideal_spanning
-from .omega import OmegaSeq, ParamSet, ParameterError, checked_delta
+from .omega import (OmegaSeq, ParamSet, ParameterError, checked_delta,
+                    default_order, degenerate_params)
 
 SUBSET_SEARCH_R_CAP = 8
 
@@ -137,10 +138,8 @@ def construct_example(field, d, base, extra, order=None) -> ParamSet:
     if violations:
         raise ConstraintError(violations)
     if order is None:
-        order = 2 * len(roots) + 8
-    prefix = symfun.eta_values(+1, base, order)
-    closure = symfun.closure_coeffs(base)
-    seq = OmegaSeq(field, tuple(prefix), closure)
+        order = default_order(len(roots))
+    seq = degenerate_params(field, base, order).omega
     return ParamSet("degenerate", field, tuple(roots), seq)
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .mpoly import MPoly
-from .univar import Series
+from .univar import Series, recurrence_solve
 
 # size guards of the cached symbolic builders (the polynomials grow fast)
 SYMBOLIC_R_CAP = 6
@@ -105,21 +105,12 @@ def _half_q_series(xs, order):
     The denominator has constant term 1, so this long division is integral:
     it runs over any ring, MPoly or field of any characteristic, with
     O(r * order) multiplications.  prod (1 - x s) is the reversal of
-    prod (y - x) = sum a_j y^j, and eps_k = (-1)^k a_{r-k}, so
-
-        h_n = [n odd, n <= r] (-a_{r-n}) - sum_{k=1}^{min(n-1, r)} a_{r-k} h_{n-k}.
+    prod (y - x) = sum a_j y^j, and eps_k = (-1)^k a_{r-k}, so the division
+    is ``recurrence_solve`` by rev[1:] of the head -a_{r-k}, k odd.
     """
-    r = len(xs)
     rev = char_poly_coeffs(xs)[::-1]  # rev[k] = a_{r-k}
-    zero = rev[0] * 0
-    h = [zero] * (order + 1)
-    for n in range(1, order + 1):
-        acc = -rev[n] if n <= r and n % 2 == 1 else zero
-        # h_0 = 0 drops the k = n term
-        for k in range(1, min(n - 1, r) + 1):
-            acc = acc - rev[k] * h[n - k]
-        h[n] = acc
-    return h
+    head = [-c if k % 2 else c * 0 for k, c in enumerate(rev)]
+    return recurrence_solve(rev[1:], head, order + 1)
 
 
 def schur_q_series(xs, order) -> Series:
@@ -250,20 +241,14 @@ def universal_H(a: int, r: int) -> MPoly:
 @lru_cache(maxsize=None)
 def _universal_H_list(upto: int, r: int):
     acoeffs = char_poly_coeffs(MPoly.variables(r))  # a_0..a_r, a_r = 1
-    count = max(upto + 1, r)
-    w = [None] * count
+    # relation j is the recursion's residue at omega_{r-1-j}, so the system
+    # and the recursion past it are one division by the reversed a's
+    head = []
     for j in range(r - 1, -1, -1):
         rhs = MPoly.zero(r)
         if (r - j) % 2 == 1:
             rhs = rhs - acoeffs[j].scaled(2)
         if j % 2 == 0:
             rhs = rhs + acoeffs[j + 1]
-        for mu in range(r - j - 1):
-            rhs = rhs - w[mu] * acoeffs[mu + j + 1]
-        w[r - j - 1] = rhs  # the diagonal coefficient is a_r = 1
-    for m in range(count - r):
-        acc = MPoly.zero(r)
-        for j in range(r):
-            acc = acc - acoeffs[j] * w[j + m]
-        w[r + m] = acc
-    return tuple(w)
+        head.append(rhs)
+    return tuple(recurrence_solve(acoeffs[-2::-1], head, max(upto + 1, r)))

@@ -5,6 +5,12 @@ rational function at t = infinity, the substitution t -> 1/t, and exact
 rational-function identities.  Polynomial coefficients live in a
 :class:`~bmwparam.fields.Field`; series coefficients may be field elements or
 :class:`~bmwparam.mpoly.MPoly` values (anything with ring operations).
+
+Every linear recurrence in the library runs through one pair of functions:
+:func:`recurrence_apply` multiplies a series by 1 + c_1 s + ... + c_d s^d
+(checking a recurrence is finding where the product is nonzero) and
+:func:`recurrence_solve` divides by it (running a recurrence, or expanding a
+rational function).
 """
 
 from __future__ import annotations
@@ -688,32 +694,52 @@ class RatFunc:
 
         Requires deg num <= deg den (no pole at infinity).
         """
-        fld = self.field
-        if self.num.is_zero():
-            return Series([fld.zero] * (order + 1))
         a, b = self.num.degree, self.den.degree
         if a > b:
             raise PoleAtInfinityError(
                 f"degree {a} numerator over degree {b} denominator")
-        # in s = 1/t: f = s^(b-a) rev(num) / rev(den), with rev(den)(0) != 0
-        num_s = [fld.zero] * (b - a) + list(reversed(self.num.coeffs))
-        den_s = list(reversed(self.den.coeffs))
-        inv0 = den_s[0].inverse()
-        rem = num_s + [fld.zero] * (order + 1)
-        out = []
-        for k in range(order + 1):
-            c = rem[k] * inv0
-            out.append(c)
-            if c:
-                for j, d in enumerate(den_s):
-                    if k + j <= order:
-                        rem[k + j] = rem[k + j] - c * d
-        return Series(out)
+        # in s = 1/t: f = s^(b-a) rev(num) / rev(den), and rev(den) = 1 + ...
+        # as den is monic; the zero numerator (degree -1) pads a zero head
+        head = [self.field.zero] * (b - a) + list(reversed(self.num.coeffs))
+        conn = self.den.coeffs[-2::-1]
+        return Series(recurrence_solve(conn, head, order + 1))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd over the coefficient field (Euclid)."""
     return Poly._from_raw(a.field, _raw_gcd(a.field, a._raws(), b._raws()))
+
+
+def recurrence_apply(conn, values, start, stop):
+    """f_start..f_(stop-1) of f_k = v_k + sum_{j=1}^{min(k, d)} c_j v_{k-j}
+    for conn = (c_1, ..., c_d): the coefficients of sum v_k s^k times
+    1 + c_1 s + ... + c_d s^d.  For k >= d, f_k is the residue of the
+    recurrence v_k + c_1 v_{k-1} + ... + c_d v_{k-d} = 0 at k.  Runs on any
+    ring: field elements or MPoly values."""
+    d = len(conn)
+    out = []
+    for k in range(start, stop):
+        acc = values[k]
+        for c, v in zip(conn, reversed(values[max(k - d, 0):k])):
+            acc = acc + c * v
+        out.append(acc)
+    return out
+
+
+def recurrence_solve(conn, head, count):
+    """The first count coefficients v of head(s) / (1 + c_1 s + ... + c_d s^d),
+    the inverse of :func:`recurrence_apply`: v_k = f_k - sum_{j=1}^{min(k, d)}
+    c_j v_{k-j}, with f_k = head[k] and 0 past the head.  The head must not
+    be empty (its ring supplies the zero)."""
+    d = len(conn)
+    zero = head[0] * 0
+    out = []
+    for k in range(count):
+        acc = head[k] if k < len(head) else zero
+        for c, v in zip(conn, reversed(out[max(k - d, 0):k])):
+            acc = acc - c * v
+        out.append(acc)
+    return out
 
 
 class Series:

@@ -8,6 +8,10 @@
   ``rui_xu``.
 * ``eta_generating_series`` expands the closed generating form of the
   eta's, independent of the q_a route that ``symfun.eta_values`` takes.
+* ``first_residue_loop``, ``half_q_series_loop``, ``extended_loop``,
+  ``backward_loop`` and ``series_at_infinity_push`` run a recurrence or a
+  series division one element at a time, as the library did before
+  ``univar.recurrence_apply`` / ``recurrence_solve`` took them over.
 """
 
 from __future__ import annotations
@@ -185,4 +189,86 @@ def _descending_division(num, den, order):
             for j in range(deg):
                 idx = j - k
                 rem[idx] = rem.get(idx, zero) - c * den[j]
+    return out
+
+
+# ------------------------------------------------------------ recurrences
+def first_residue_loop(coeffs, values, count):
+    """``omega.first_residue``, one residue values[r+l] + sum_j coeffs[j]
+    values[j+l] at a time."""
+    r = len(coeffs)
+    for ell in range(count):
+        acc = values[r + ell]
+        for j, aj in enumerate(coeffs):
+            acc = acc + aj * values[j + ell]
+        if acc:
+            return ell, acc
+    return None
+
+
+def half_q_series_loop(xs, order):
+    """``symfun._half_q_series`` written out: h_0 = 0 and
+
+        h_n = [n odd, n <= r] (-a_{r-n}) - sum_{k=1}^{min(n-1, r)} a_{r-k} h_{n-k}.
+    """
+    r = len(xs)
+    rev = symfun.char_poly_coeffs(xs)[::-1]  # rev[k] = a_{r-k}
+    zero = rev[0] * 0
+    h = [zero] * (order + 1)
+    for n in range(1, order + 1):
+        acc = -rev[n] if n <= r and n % 2 == 1 else zero
+        for k in range(1, min(n - 1, r) + 1):
+            acc = acc - rev[k] * h[n - k]
+        h[n] = acc
+    return h
+
+
+def extended_loop(seq, upto):
+    """``seq.extended(upto).prefix``, one omega_{r+l} = -sum_j a_j omega_{j+l}
+    at a time."""
+    r = len(seq.closure)
+    vals = list(seq.prefix)
+    while len(vals) <= upto:
+        acc = seq.field.zero
+        ell = len(vals) - r
+        for j, aj in enumerate(seq.closure):
+            acc = acc - aj * vals[j + ell]
+        vals.append(acc)
+    return vals
+
+
+def backward_loop(seq, upto):
+    """omega_{-1}..omega_{-upto}, one
+    omega_a = -a_0^{-1} (omega_{a+r} + sum_{j>=1} a_j omega_{a+j}) at a time."""
+    a0inv = seq.closure[0].inverse()
+    r = len(seq.closure)
+    vals = dict(enumerate(seq.prefix))
+    for a in range(-1, -upto - 1, -1):
+        acc = vals[a + r]
+        for j in range(1, r):
+            acc = acc + seq.closure[j] * vals[a + j]
+        vals[a] = -(a0inv * acc)
+    return [vals[-k] for k in range(1, upto + 1)]
+
+
+def series_at_infinity_push(f, order):
+    """``f.series_at_infinity(order).coeffs`` by push-form long division in
+    s = 1/t: each quotient digit, divided by the constant term of rev(den),
+    is subtracted from the remainder ahead of it."""
+    fld = f.field
+    if f.num.is_zero():
+        return [fld.zero] * (order + 1)
+    a, b = f.num.degree, f.den.degree
+    num_s = [fld.zero] * (b - a) + list(reversed(f.num.coeffs))
+    den_s = list(reversed(f.den.coeffs))
+    inv0 = den_s[0].inverse()
+    rem = num_s + [fld.zero] * (order + 1)
+    out = []
+    for k in range(order + 1):
+        c = rem[k] * inv0
+        out.append(c)
+        if c:
+            for j, d in enumerate(den_s):
+                if k + j <= order:
+                    rem[k + j] = rem[k + j] - c * d
     return out

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -112,12 +115,31 @@ def test_construct_seeded_generic(tmp_path, capsys):
                          "--seed", "11")
     assert code1 == code2 == 0
     assert out1 == out2
+    assert json.loads(out1)["u"] == ["29", "36", "50", "30"]  # pinned draws
     path = write(tmp_path, json.loads(out1), "gen.json")
     code, out, _ = run(capsys, "detect-semi", "--file", path, "--json")
     payload = json.loads(out)
     assert payload["status"] == "semi-admissible"
     assert payload["d"] == 2
     assert payload["subsets_indices"] == [[1, 2]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--d", "2", "--r", "51", "--seed", "1"],    # QQ: 50 draws, 50 classes
+    ["--p", "5", "--d", "1", "--r", "3"],        # GF(5): only {1, 4} left
+    ["--p", "3", "--d", "1", "--r", "2"],        # GF(3): 0, +-1/2 fill it
+])
+def test_construct_infeasible_r_exits_2(argv):
+    # a separate interpreter, so that a search that never ends fails the
+    # test by its timeout instead of stalling the suite
+    src = os.path.dirname(os.path.dirname(symfun.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bmwparam.cli", "construct-example", *argv],
+        capture_output=True, text=True, timeout=20, env=env)
+    assert proc.returncode == 2
+    assert "--r" in proc.stderr and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
 
 
 def test_construct_rejects_bad_roots(capsys):

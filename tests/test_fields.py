@@ -150,6 +150,9 @@ def test_element_hash_and_eq_across_instances():
     assert PrimeField(5)(3) == PrimeField(5)(3)
     assert hash(PrimeField(5)(3)) == hash(PrimeField(5)(3))
     assert PrimeField(5)(3) != PrimeField(7)(3)
+    assert QQ(2) != 2 and 2 not in {QQ(2)}
+    assert PrimeField(7)(9) == PrimeField(7)(2) != 2
+    assert PrimeField(7)(9) != 9
 
 
 def test_binary_moduli_define_fields_exhaustively():
@@ -163,3 +166,20 @@ def test_binary_moduli_define_fields_exhaustively():
         one = F.one
         for a in nonzero:
             assert a ** (F.order - 1) == one
+
+
+@given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.integers(-50, 50),
+       st.sampled_from(range(len(FIELDS))))
+def test_equality_respects_hash(i, j, n, fidx):
+    # equal elements hash alike, so sets and dicts agree with ==; an element
+    # never equals an int or a Fraction, whatever value it was made from
+    field = FIELDS[fidx]
+    a, b = sample(field, i), sample(field, j)
+    if a == b:
+        assert hash(a) == hash(b)
+    twin = FieldElement(field, a.raw)
+    assert twin == a and hash(twin) == hash(a) and twin in {a}
+    assert field(n) != n and n != field(n)
+    assert a != n and a != Fraction(n, 3) and a != a.raw
+    assert n not in {field(n)} and field(n) not in {n}
+

@@ -6,9 +6,9 @@ import pytest
 from bmwparam import symfun
 from bmwparam.fields import QQ, BinaryField, PrimeField
 from bmwparam.omega import (OmegaSeq, ParamSet, ParameterError,
-                            degenerate_params, extend_by_recursion,
-                            nondegenerate_params, omega_negative, rx_functions,
-                            verify_pm_identity, wminus_ratfunc, wplus_ratfunc)
+                            degenerate_params, nondegenerate_params,
+                            omega_negative, rx_functions, verify_pm_identity,
+                            wminus_ratfunc, wplus_ratfunc)
 from bmwparam.univar import Poly, RatFunc
 
 
@@ -155,10 +155,9 @@ def test_omegaseq_closure_validated():
 
 # ------------------------------------------------------------- extension
 def test_extend_by_recursion():
-    seq = OmegaSeq(QQ, (QQ(5),))
-    ext = extend_by_recursion(seq, (QQ(-2),), 6)
+    ext = OmegaSeq(QQ, (QQ(5),), (QQ(-2),)).extended(6)
     assert [c.raw for c in ext.prefix] == [5, 10, 20, 40, 80, 160, 320]
-    zero = extend_by_recursion(OmegaSeq(QQ, (QQ(0), QQ(0))), (QQ(1), QQ(1)), 8)
+    zero = OmegaSeq(QQ, (QQ(0), QQ(0)), (QQ(1), QQ(1))).extended(8)
     assert all(not c for c in zero.prefix)
 
 
@@ -168,13 +167,13 @@ def test_extend_consistent_with_longer_recursion():
     # minimal one must agree with the stored longer prefix
     ps = degenerate_params(QQ, [2], order=10)
     long_coeffs = symfun.char_poly_coeffs([QQ(2), QQ(9)])[:2]
-    ext = extend_by_recursion(OmegaSeq(QQ, ps.omega.prefix[:4]), long_coeffs, 10)
+    ext = OmegaSeq(QQ, ps.omega.prefix[:4], long_coeffs).extended(10)
     assert ext.prefix == ps.omega.prefix
 
 
 def test_extend_needs_enough_prefix():
     with pytest.raises(ParameterError):
-        extend_by_recursion(OmegaSeq(QQ, (QQ(1),)), (QQ(1), QQ(1)), 5)
+        OmegaSeq(QQ, (QQ(1),), (QQ(1), QQ(1))).extended(5)
 
 
 def test_backward_extension():

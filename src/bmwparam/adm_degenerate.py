@@ -16,11 +16,10 @@ including 2 (``tests/oracles.py``).
 from __future__ import annotations
 
 from . import symfun
-from .omega import ParamSet, ParameterError, first_residue
-from .report import AdmissibilityReport, Witness, single
+from .omega import (DEFAULT_RECURSION_BOUND, ParamSet, ParameterError,
+                    recursion_report)
+from .report import AdmissibilityReport, first_difference
 from .univar import recurrence_apply
-
-DEFAULT_RECURSION_BOUND = 20
 
 
 def _require_degenerate(params: ParamSet):
@@ -28,37 +27,10 @@ def _require_degenerate(params: ParamSet):
         raise ParameterError("degenerate-kind parameters required")
 
 
-def _acoeffs(params: ParamSet):
-    return symfun.char_poly_coeffs(list(params.u))
-
-
-def _recursion_window(params: ParamSet, bound):
-    r = params.r
-    available = len(params.omega) - r - 1
-    if available < 0 or (bound is not None and available < bound):
-        need = r + (bound if bound is not None else 0) + 1
-        raise ParameterError(
-            f"insufficient prefix: need at least {need} coefficients, "
-            f"have {len(params.omega)}")
-    if bound is None:
-        return min(DEFAULT_RECURSION_BOUND, available)
-    return bound
-
-
 def check_recursion(params: ParamSet, bound=None) -> AdmissibilityReport:
     """Verify sum_j a_j omega_{j+l} = 0 for 0 <= l <= bound."""
     _require_degenerate(params)
-    return _recursion_report(params, bound)
-
-
-def _recursion_report(params: ParamSet, bound) -> AdmissibilityReport:
-    """The recursion check itself; the same for both kinds of data."""
-    bound = _recursion_window(params, bound)
-    bad = first_residue(_acoeffs(params)[:-1], params.omega.prefix, bound + 1)
-    if bad is None:
-        return single("recursion", True)
-    return single("recursion", False,
-                  Witness("recursion", *bad, params.field.zero))
+    return recursion_report(params, bound)
 
 
 def check_relations(params: ParamSet) -> AdmissibilityReport:
@@ -68,23 +40,14 @@ def check_relations(params: ParamSet) -> AdmissibilityReport:
     if len(params.omega) < r:
         raise ParameterError(
             f"insufficient prefix: need omega_0..omega_{r - 1}")
-    acoeffs = _acoeffs(params)
-    zero = params.field.zero
-    two = params.field.one + params.field.one
+    acoeffs = symfun.char_poly_coeffs(list(params.u))
     # the left side of relation j is the recursion's residue at omega_{r-1-j};
-    # scan in the unitriangular solve order j = r-1, ..., 0, so a failure is
-    # reported at the relation where the offending omega first appears alone
-    residues = recurrence_apply(acoeffs[-2::-1], params.omega.prefix, 0, r)
-    for j, lhs in zip(range(r - 1, -1, -1), residues):
-        rhs = zero
-        if (r - j) % 2 == 1:
-            rhs = rhs - two * acoeffs[j]
-        if j % 2 == 0:
-            rhs = rhs + acoeffs[j + 1]
-        if lhs != rhs:
-            return single("relations", False,
-                          Witness("relations", j, lhs, rhs))
-    return single("relations", True)
+    # both sides run in the unitriangular solve order j = r-1, ..., 0, so a
+    # failure is reported at the relation where the offending omega first
+    # appears alone
+    return first_difference(
+        "relations", recurrence_apply(acoeffs[-2::-1], params.omega.prefix, 0, r),
+        symfun.relations_rhs(acoeffs), range(r - 1, -1, -1))
 
 
 def check_u_admissible(params: ParamSet, bound=None) -> AdmissibilityReport:
@@ -95,18 +58,16 @@ def check_u_admissible(params: ParamSet, bound=None) -> AdmissibilityReport:
     if bound is None:
         bound = len(params.omega) - 1
     bound = min(bound, len(params.omega) - 1)
-    etas = symfun.eta_values(+1, list(params.u), bound)
-    for a in range(bound + 1):
-        if params.omega.prefix[a] != etas[a]:
-            return single("u-admissible", False,
-                          Witness("u-admissible", a,
-                                  params.omega.prefix[a], etas[a]))
-    return single("u-admissible", True)
+    # zip stops at the end of the etas: no slice of the prefix is copied
+    return first_difference("u-admissible", params.omega.prefix,
+                            symfun.eta_values(+1, list(params.u), bound))
 
 
 def full_check(params: ParamSet, bound=None) -> AdmissibilityReport:
-    """All three criteria over matched windows, in one report."""
-    ell_bound = _recursion_window(params, bound)
-    rep = check_recursion(params, ell_bound) \
+    """All three criteria over matched windows, in one report: the
+    recursion for l <= bound, u-admissibility for a <= r + bound.  Past a
+    short prefix both windows end where the prefix does."""
+    rep = check_recursion(params, bound) \
         .combined_with(check_relations(params))
+    ell_bound = DEFAULT_RECURSION_BOUND if bound is None else bound
     return rep.combined_with(check_u_admissible(params, params.r + ell_bound))

@@ -23,11 +23,11 @@ isolated in :func:`wy_bracket_sums` and unit-tested on their own.
 from __future__ import annotations
 
 from . import symfun
-from .omega import (ParamSet, ParameterError, _ratfunc_report, _series_report,
-                    check_rho_constraint, checked_delta, rx_functions,
+from .omega import (ParamSet, ParameterError, check_rho_constraint,
+                    checked_delta, recursion_report, rx_functions,
                     wplus_ratfunc)
-from .report import AdmissibilityReport, Witness, single
-from .adm_degenerate import _recursion_report
+from .report import (AdmissibilityReport, Witness, first_difference,
+                     ratfunc_report, series_report, single)
 from .univar import Series
 
 
@@ -59,7 +59,7 @@ def wy_bracket_sums(acoeffs, ell, r):
 
 def check_recursion(params: ParamSet, bound=None) -> AdmissibilityReport:
     """Verify sum_j a_j omega_{j+l} = 0 for 0 <= l <= bound."""
-    return _recursion_report(params, bound)
+    return recursion_report(params, bound)
 
 
 def wilcox_yu_check(params: ParamSet, bound=None) -> AdmissibilityReport:
@@ -76,20 +76,17 @@ def wilcox_yu_check(params: ParamSet, bound=None) -> AdmissibilityReport:
 
     report = check_recursion(params, bound)
 
-    relations_witness = None
+    lhs, rhs = [], []
     for ell in range(1, r):
-        lhs = field.zero
+        acc = field.zero
         for j in range(1, r - ell + 1):
-            lhs = lhs + acoeffs[j + ell] * om[j]
-        lhs = delta * lhs
+            acc = acc + acoeffs[j + ell] * om[j]
+        lhs.append(delta * acc)
         pos, neg = wy_bracket_sums(acoeffs, ell, r)
-        rhs = -(params.rho * (acoeffs[ell] - acoeffs[r - ell] * a0_inv)) \
-            + delta * (pos - neg)
-        if lhs != rhs:
-            relations_witness = Witness("wy-relations", ell, lhs, rhs)
-            break
+        rhs.append(-(params.rho * (acoeffs[ell] - acoeffs[r - ell] * a0_inv))
+                   + delta * (pos - neg))
     report = report.combined_with(
-        single("wy-relations", relations_witness is None, relations_witness))
+        first_difference("wy-relations", lhs, rhs, range(1, r)))
 
     rho_witness = None
     if check_rho_constraint(field, params.u, params.rho, params.q) is not None:
@@ -97,8 +94,7 @@ def wilcox_yu_check(params: ParamSet, bound=None) -> AdmissibilityReport:
         expect = f"+-a_0 = +-({a0})" if r % 2 == 1 else \
             f"q^-1 a_0 = {q.inverse() * a0} or -q a_0 = {-(q * a0)}"
         rho_witness = Witness("rho-constraint", "rho", params.rho, expect)
-    return report.combined_with(
-        single("rho-constraint", rho_witness is None, rho_witness))
+    return report.combined_with(single("rho-constraint", rho_witness))
 
 
 def rui_xu_check(params: ParamSet, bound=None) -> AdmissibilityReport:
@@ -112,8 +108,7 @@ def rui_xu_check(params: ParamSet, bound=None) -> AdmissibilityReport:
     _require_nondegenerate(params)
     field = params.field
     diag = check_rho_constraint(field, params.u, params.rho, params.q)
-    rho_report = single("rho-constraint", diag is None,
-                        None if diag is None
+    rho_report = single("rho-constraint", None if diag is None
                         else Witness("rho-constraint", "rho", params.rho, diag))
 
     delta = params.q_minus_qinv()
@@ -121,11 +116,11 @@ def rui_xu_check(params: ParamSet, bound=None) -> AdmissibilityReport:
     name = "generating-function"
     last = len(params.omega) - 1
     if params.omega.closure is not None:
-        report = _ratfunc_report(name, wplus_ratfunc(params.omega) * delta, Z,
-                                 bound if bound is not None else last)
+        report = ratfunc_report(name, wplus_ratfunc(params.omega) * delta, Z,
+                                bound if bound is not None else last)
     else:
         bound = last if bound is None else min(bound, last)
-        report = _series_report(
+        report = series_report(
             name, Series(params.omega.prefix[:bound + 1]).scaled(delta),
             Z.series_at_infinity(bound))
     return report.combined_with(rho_report)

@@ -47,8 +47,7 @@ def _report_payload(report):
 
 
 def cmd_gen_omega(args):
-    pf = load_paramfile(args.file, default_order=args.bound)
-    params = pf.params
+    params = load_paramfile(args.file, default_order=args.bound)
     field = params.field
     coeffs = [format_scalar(field, c) for c in params.omega.prefix]
     lines = [f"omega[{a}] = {c}" for a, c in enumerate(coeffs)]
@@ -57,8 +56,7 @@ def cmd_gen_omega(args):
 
 
 def cmd_check(args):
-    pf = load_paramfile(args.file, default_order=args.bound)
-    params = pf.params
+    params = load_paramfile(args.file, default_order=args.bound)
     if params.kind == "degenerate":
         report = adm_degenerate.full_check(params)
         lines = [report.summary()]
@@ -76,8 +74,7 @@ def cmd_check(args):
 
 
 def cmd_detect_semi(args):
-    pf = load_paramfile(args.file, default_order=args.bound)
-    params = pf.params
+    params = load_paramfile(args.file, default_order=args.bound)
     det = semiadm.detect(params, bound=args.bound)
     field = params.field
     payload = {"status": det.status}
@@ -101,8 +98,7 @@ def cmd_detect_semi(args):
 
 
 def cmd_classify(args):
-    pf = load_paramfile(args.file, default_order=args.bound)
-    params = pf.params
+    params = load_paramfile(args.file, default_order=args.bound)
     try:
         result = rationality.affine_classify(params)
     except rationality.ClassifyError as ex:

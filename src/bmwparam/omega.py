@@ -24,7 +24,8 @@ from typing import NamedTuple, Optional, Tuple
 
 from . import symfun
 from .fields import Field, FieldElement
-from .report import AdmissibilityReport, Witness, single
+from .report import (AdmissibilityReport, Witness, ratfunc_report,
+                     series_report, single)
 from .univar import (Poly, RatFunc, Series, recurrence_apply,
                      recurrence_solve)
 
@@ -77,11 +78,11 @@ class OmegaSeq:
             if a < len(self.prefix):
                 return self.prefix[a]
             if self.closure is not None:
-                return self.extended(a).prefix[a]
+                return self._forward(a)[-1]
             raise IndexError(f"omega_{a} not stored and no closure")
         if -a <= len(self.negative):
             return self.negative[-a - 1]
-        if self.closure is not None and self.closure[0]:
+        if self.closure and self.closure[0]:
             return self._backward(-a)[-a - 1]
         raise IndexError(f"omega_{a} not stored; closure absent or a_0 = 0")
 
@@ -89,18 +90,21 @@ class OmegaSeq:
         """Extend the prefix through index upto using the closure."""
         if self.closure is None:
             raise ParameterError("cannot extend a sequence without closure")
+        return OmegaSeq(self.field, self.prefix + tuple(self._forward(upto)),
+                        self.closure, self.negative)
+
+    def _forward(self, upto: int):
+        """omega_n..omega_upto past the n stored terms, by rerunning the
+        closure from the last r of them; an order-0 closure makes omega
+        vanish."""
         r, n = len(self.closure), len(self.prefix)
         if n < r:
             raise ParameterError(
                 f"prefix of length {n} cannot seed an order-{r} recursion")
-        # rerun the recursion from the last r stored terms; an order-0
-        # closure makes omega vanish
         conn = self.closure[::-1]
         head = recurrence_apply(conn, self.prefix[n - r:], 0, r) \
             or [self.field.zero]
-        tail = recurrence_solve(conn, head, upto + 1 - n + r)[r:]
-        return OmegaSeq(self.field, self.prefix + tuple(tail), self.closure,
-                        self.negative)
+        return recurrence_solve(conn, head, upto + 1 - n + r)[r:]
 
     def _backward(self, upto: int):
         """omega_{-1}..omega_{-upto} by running the closure backwards:
@@ -123,6 +127,29 @@ def first_residue(coeffs, values, count):
     r = len(coeffs)
     residues = recurrence_apply(coeffs[::-1], values, r, r + count)
     return next(((ell, res) for ell, res in enumerate(residues) if res), None)
+
+
+DEFAULT_RECURSION_BOUND = 20
+
+
+def recursion_report(params: ParamSet, bound=None) -> AdmissibilityReport:
+    """The recursion check sum_j a_j omega_{j+l} = 0 for 0 <= l <= bound,
+    with a_j the coefficients of prod (y - u_j), for either kind of data.
+    Without a bound it runs as far as the prefix allows, up to
+    ``DEFAULT_RECURSION_BOUND``; a prefix too short for the window is
+    refused."""
+    available = len(params.omega) - params.r - 1
+    if available < 0 or (bound is not None and available < bound):
+        need = params.r + (bound if bound is not None else 0) + 1
+        raise ParameterError(
+            f"insufficient prefix: need at least {need} coefficients, "
+            f"have {len(params.omega)}")
+    if bound is None:
+        bound = min(DEFAULT_RECURSION_BOUND, available)
+    bad = first_residue(symfun.closure_coeffs(params.u), params.omega.prefix,
+                        bound + 1)
+    return single("recursion", None if bad is None
+                  else Witness("recursion", *bad, params.field.zero))
 
 
 @dataclass(frozen=True)
@@ -349,29 +376,6 @@ def wminus_ratfunc(seq: OmegaSeq) -> RatFunc:
     return (-wplus_ratfunc(seq)).substitute_inverse_t()
 
 
-def _series_report(name, lhs: Series, rhs: Series) -> AdmissibilityReport:
-    """Pass, or fail at the first index where the two series differ."""
-    idx = lhs.first_disagreement(rhs)
-    if idx is None:
-        return single(name, True)
-    return single(name, False, Witness(name, idx, lhs[idx], rhs[idx]))
-
-
-def _ratfunc_report(name, lhs: RatFunc, rhs: RatFunc,
-                    order: int) -> AdmissibilityReport:
-    """Exact comparison of two rational functions.  A failure is witnessed
-    by the first disagreement of their expansions to the given order, or by
-    the two functions themselves when the expansions agree that far."""
-    if lhs == rhs:
-        return single(name, True)
-    report = _series_report(name, lhs.series_at_infinity(order),
-                            rhs.series_at_infinity(order))
-    if report.passed:
-        return single(name, False,
-                      Witness(name, f"beyond order {order}", lhs, rhs))
-    return report
-
-
 def _pm_factors_rat(params: ParamSet):
     """h(t), -h(1/t) and the right-hand side of the w^+/w^- identity."""
     field = params.field
@@ -412,8 +416,8 @@ def verify_pm_identity(params: ParamSet, bound: int = None) -> AdmissibilityRepo
         wp = wplus_ratfunc(params.omega)
         wm = wminus_ratfunc(params.omega)
         order = bound if bound is not None else default_order(params.r)
-        return _ratfunc_report(name, (wp + left_shift) * (wm + right_shift),
-                               rhs, order)
+        return ratfunc_report(name, (wp + left_shift) * (wm + right_shift),
+                              rhs, order)
     if bound is None:
         bound = len(params.omega) - 1
     negative = params.omega.negative
@@ -426,13 +430,10 @@ def verify_pm_identity(params: ParamSet, bound: int = None) -> AdmissibilityRepo
                 f"omega_0..omega_{params.r}")
         solved = omega_negative(params, bound).negative
         negative = negative + solved[len(negative):]
-        bad = first_residue(symfun.closure_coeffs(params.u),
-                            params.omega.prefix, bound + 1 - params.r)
-        recursion = single("recursion", bad is None, None if bad is None
-                           else Witness("recursion", *bad, params.field.zero))
+        recursion = recursion_report(params, bound - params.r)
     wp_series = Series(params.omega.prefix[:bound + 1])
     wm_series = Series((params.field.zero,) + negative[:bound])
     lhs = (wp_series + left_shift.series_at_infinity(bound)) \
         * (wm_series + right_shift.series_at_infinity(bound))
-    report = _series_report(name, lhs, rhs.series_at_infinity(bound))
+    report = series_report(name, lhs, rhs.series_at_infinity(bound))
     return report if recursion is None else recursion.combined_with(report)

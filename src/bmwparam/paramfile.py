@@ -23,9 +23,7 @@ Parse failures carry the JSON path of the offending entry.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .fields import QQ, BinaryField, Field, FieldCoercionError, field_from_descriptor
 from .omega import (OmegaSeq, ParamSet, ParameterError, degenerate_params,
@@ -38,15 +36,6 @@ class ParamFileError(ValueError):
     def __init__(self, path, message):
         self.path = path
         super().__init__(f"{path}: {message}")
-
-
-@dataclass(frozen=True)
-class ParamFile:
-    """Parsed parameter document plus the optional count-query fields."""
-
-    params: ParamSet
-    n: Optional[int] = None
-    d: Optional[int] = None
 
 
 def _is_int(value):
@@ -94,7 +83,7 @@ def format_scalar(field: Field, element) -> object:
     return element.raw
 
 
-def parse_paramfile(doc, default_order=20) -> ParamFile:
+def parse_paramfile(doc, default_order=20) -> ParamSet:
     if not isinstance(doc, dict):
         raise ParamFileError("$", "top level must be an object")
     kind = doc.get("kind")
@@ -160,15 +149,13 @@ def parse_paramfile(doc, default_order=20) -> ParamFile:
     except (ParameterError, FieldCoercionError) as ex:
         raise ParamFileError("omega", str(ex)) from ex
 
-    n = doc.get("n")
-    d = doc.get("d")
-    for name, val in (("n", n), ("d", d)):
-        if val is not None and not _is_int(val):
-            raise ParamFileError(name, f"expected int, got {val!r}")
-    return ParamFile(params, n, d)
+    for name in ("n", "d"):
+        if doc.get(name) is not None and not _is_int(doc[name]):
+            raise ParamFileError(name, f"expected int, got {doc[name]!r}")
+    return params
 
 
-def load_paramfile(path, default_order=20) -> ParamFile:
+def load_paramfile(path, default_order=20) -> ParamSet:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)

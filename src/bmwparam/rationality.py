@@ -28,9 +28,10 @@ from typing import Optional, Tuple
 
 from .adm_nondegenerate import rui_xu_check
 from .omega import (ParamSet, ParameterError, _g_ratfunc, _pm_factors_rat,
-                    checked_delta, wminus_ratfunc, wplus_ratfunc)
-from .report import AdmissibilityReport, Witness, single
-from .univar import Poly, RatFunc, SplitError, recurrence_apply
+                    checked_delta, first_residue, wminus_ratfunc,
+                    wplus_ratfunc)
+from .report import AdmissibilityReport, first_difference
+from .univar import Poly, RatFunc, SplitError
 
 
 class FitError(ValueError):
@@ -110,11 +111,11 @@ def fit_recurrence(field, prefix) -> RecurrenceFit:
         raise FitError(
             f"no recursion within half the prefix length (minimal order {L}, "
             f"prefix {n})")
-    residues = recurrence_apply(conn, prefix, L, n)
-    bad = next((ell for ell, res in enumerate(residues) if res), None)
+    coeffs = tuple(reversed(conn))  # a_j = c_{L-j}
+    bad = first_residue(coeffs, prefix, n - L)
     if bad is not None:
-        raise FitError(f"fitted recursion breaks at l={bad}")
-    return RecurrenceFit(L, tuple(reversed(conn)), n - 1)  # a_j = c_{L-j}
+        raise FitError(f"fitted recursion breaks at l={bad[0]}")
+    return RecurrenceFit(L, coeffs, n - 1)
 
 
 def weak_admissibility_check(field, prefix) -> AdmissibilityReport:
@@ -126,28 +127,19 @@ def weak_admissibility_check(field, prefix) -> AdmissibilityReport:
 
     in any characteristic, and omega_{2a} = omega_a^2 when char = 2."""
     om = [field(x) for x in prefix]
-    n = len(om)
-    name = "convolution"
-    witness = None
-    for a in range((n - 2) // 2 + 1):
-        lhs = om[2 * a + 1] + om[2 * a + 1]
-        rhs = -om[2 * a]
+
+    def convolution(a):
+        acc = -om[2 * a]
         for b in range(1, 2 * a + 2):
             term = om[b - 1] * om[2 * a + 1 - b]
-            rhs = rhs + (term if b % 2 == 1 else -term)
-        if lhs != rhs:
-            witness = Witness(name, a, lhs, rhs)
-            break
-    report = single(name, witness is None, witness)
+            acc = acc + (term if b % 2 == 1 else -term)
+        return acc
+
+    report = first_difference("convolution", [x + x for x in om[1::2]],
+                              [convolution(a) for a in range(len(om) // 2)])
     if field.char == 2:
-        fw = None
-        for a in range(n):
-            if 2 * a >= n:
-                break
-            if om[2 * a] != om[a] * om[a]:
-                fw = Witness("frobenius", a, om[2 * a], om[a] * om[a])
-                break
-        report = report.combined_with(single("frobenius", fw is None, fw))
+        report = report.combined_with(first_difference(
+            "frobenius", om[::2], [x * x for x in om[:(len(om) + 1) // 2]]))
     return report
 
 
@@ -193,13 +185,14 @@ def char2_recover(field, prefix) -> Char2Recovery:
             "characteristic polynomial")
     if any(not x for x in roots):
         raise RecoveryError("recursion root 0 cannot carry a power sum")
-    for a in range(1, len(om)):
-        acc = field.zero
-        for x in roots:
-            acc = acc + x ** a
-        if acc != om[a]:
-            raise RecoveryError(
-                f"power-sum verification fails at a={a}: {om[a]} != {acc}")
+    exponents = range(1, len(om))
+    bad = first_difference(
+        "power-sum", om[1:],
+        (sum((x ** a for x in roots), field.zero) for a in exponents),
+        exponents).witness
+    if bad is not None:
+        raise RecoveryError(f"power-sum verification fails at a={bad.index}: "
+                            f"{bad.lhs} != {bad.rhs}")
     omega0 = om[0]
     parity = field.one if len(roots) % 2 == 1 else field.zero
     zero_adjoined = omega0 != parity

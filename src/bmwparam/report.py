@@ -59,5 +59,35 @@ class AdmissibilityReport:
         return parts
 
 
-def single(name: str, ok: bool, witness: Optional[Witness] = None) -> AdmissibilityReport:
-    return AdmissibilityReport(((name, ok),), None if ok else witness)
+def single(name: str, witness: Optional[Witness] = None) -> AdmissibilityReport:
+    """One named check: passed unless a witness of its failure is given."""
+    return AdmissibilityReport(((name, witness is None),), witness)
+
+
+def first_difference(name: str, lhs, rhs, index=None) -> AdmissibilityReport:
+    """Pass, or fail witnessed at the first position where the sequences
+    lhs and rhs differ on their shared length; ``index`` labels the
+    positions (0, 1, ... by default)."""
+    for i, (left, right) in enumerate(zip(lhs, rhs)):
+        if left != right:
+            return single(name, Witness(name, i if index is None else index[i],
+                                        left, right))
+    return single(name)
+
+
+def series_report(name: str, lhs, rhs) -> AdmissibilityReport:
+    """Pass, or fail at the first index where two series differ."""
+    return first_difference(name, lhs.coeffs, rhs.coeffs)
+
+
+def ratfunc_report(name: str, lhs, rhs, order: int) -> AdmissibilityReport:
+    """Exact comparison of two rational functions.  A failure is witnessed
+    by the first disagreement of their expansions to the given order, or by
+    the two functions themselves when the expansions agree that far."""
+    if lhs == rhs:
+        return single(name)
+    report = series_report(name, lhs.series_at_infinity(order),
+                           rhs.series_at_infinity(order))
+    if report.passed:
+        return single(name, Witness(name, f"beyond order {order}", lhs, rhs))
+    return report

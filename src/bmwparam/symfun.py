@@ -221,6 +221,22 @@ def eta_values(sign, us, order):
     return out
 
 
+def relations_rhs(acoeffs):
+    """The right-hand sides -2 [r-j odd] a_j + [j even] a_{j+1} of the
+    admissibility relations, listed j = r-1, ..., 0, for the coefficients
+    a_0..a_r of prod (y - u_j) in any ring."""
+    r = len(acoeffs) - 1
+    out = []
+    for j in range(r - 1, -1, -1):
+        rhs = acoeffs[j] * 0
+        if (r - j) % 2 == 1:
+            rhs = rhs - (acoeffs[j] + acoeffs[j])
+        if j % 2 == 0:
+            rhs = rhs + acoeffs[j + 1]
+        out.append(rhs)
+    return out
+
+
 @lru_cache(maxsize=None)
 def universal_H(a: int, r: int) -> MPoly:
     """The universal polynomial H_a with omega_a = H_a(u) for admissible data.
@@ -243,12 +259,6 @@ def _universal_H_list(upto: int, r: int):
     acoeffs = char_poly_coeffs(MPoly.variables(r))  # a_0..a_r, a_r = 1
     # relation j is the recursion's residue at omega_{r-1-j}, so the system
     # and the recursion past it are one division by the reversed a's
-    head = []
-    for j in range(r - 1, -1, -1):
-        rhs = MPoly.zero(r)
-        if (r - j) % 2 == 1:
-            rhs = rhs - acoeffs[j].scaled(2)
-        if j % 2 == 0:
-            rhs = rhs + acoeffs[j + 1]
-        head.append(rhs)
-    return tuple(recurrence_solve(acoeffs[-2::-1], head, max(upto + 1, r)))
+    return tuple(recurrence_solve(acoeffs[-2::-1], relations_rhs(acoeffs),
+                                  max(upto + 1, r)))
+

@@ -20,6 +20,7 @@ from math import gcd, lcm
 
 from .fields import (QQ, BinaryField, FieldElement, PrimeField, RationalField,
                      _is_prime)
+from .report import first_difference
 
 
 class PoleAtInfinityError(ValueError):
@@ -806,11 +807,8 @@ class Series:
 
     def first_disagreement(self, other):
         """Smallest index where the two series differ on their shared range."""
-        n = min(len(self.coeffs), len(other.coeffs))
-        for i in range(n):
-            if self.coeffs[i] != other.coeffs[i]:
-                return i
-        return None
+        witness = first_difference("", self.coeffs, other.coeffs).witness
+        return None if witness is None else witness.index
 
     def __repr__(self):
         return "Series(" + ", ".join(str(c) for c in self.coeffs) + ")"

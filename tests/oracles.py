@@ -12,6 +12,11 @@
   ``backward_loop`` and ``series_at_infinity_push`` run a recurrence or a
   series division one element at a time, as the library did before
   ``univar.recurrence_apply`` / ``recurrence_solve`` took them over.
+* ``relations_loop``, ``u_admissible_loop``, ``wy_relations_loop``,
+  ``convolution_loop``, ``frobenius_loop`` and ``series_report_loop`` each
+  compute one criterion's two sides equation by equation and stop at the
+  first that fails, as the library did before ``report.first_difference``
+  took the comparison over.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from bmwparam.fields import QQ, FieldElement
 from bmwparam.mpoly import MPoly
 from bmwparam.omega import (OmegaSeq, ParamSet, degenerate_params,
                             nondegenerate_params)
+from bmwparam.report import AdmissibilityReport, Witness
 
 
 # ------------------------------------------------------------ sampling
@@ -272,3 +278,104 @@ def series_at_infinity_push(f, order):
                 if k + j <= order:
                     rem[k + j] = rem[k + j] - c * d
     return out
+
+
+# ------------------------------------------------------------ first failures
+def _report(name, witness):
+    return AdmissibilityReport(((name, witness is None),), witness)
+
+
+def relations_loop(params):
+    """``adm_degenerate.check_relations``: relation j, in the order
+    j = r-1, ..., 0, as the sum over mu of omega_mu a_{mu+j+1}."""
+    r = params.r
+    acoeffs = symfun.char_poly_coeffs(list(params.u))
+    zero = params.field.zero
+    two = params.field.one + params.field.one
+    om = params.omega.prefix
+    for j in range(r - 1, -1, -1):
+        lhs = zero
+        for mu in range(r - j):
+            lhs = lhs + om[mu] * acoeffs[mu + j + 1]
+        rhs = zero
+        if (r - j) % 2 == 1:
+            rhs = rhs - two * acoeffs[j]
+        if j % 2 == 0:
+            rhs = rhs + acoeffs[j + 1]
+        if lhs != rhs:
+            return _report("relations", Witness("relations", j, lhs, rhs))
+    return _report("relations", None)
+
+
+def u_admissible_loop(params, bound=None):
+    """``adm_degenerate.check_u_admissible``: omega_a against eta_a^+(u)."""
+    last = len(params.omega) - 1
+    bound = last if bound is None else min(bound, last)
+    etas = symfun.eta_values(+1, list(params.u), bound)
+    for a in range(bound + 1):
+        if params.omega.prefix[a] != etas[a]:
+            return _report("u-admissible",
+                           Witness("u-admissible", a,
+                                   params.omega.prefix[a], etas[a]))
+    return _report("u-admissible", None)
+
+
+def wy_relations_loop(params):
+    """The bracket relations of ``adm_nondegenerate.wilcox_yu_check``,
+    l = 1, ..., r-1."""
+    from bmwparam.adm_nondegenerate import wy_bracket_sums
+    field, r = params.field, params.r
+    acoeffs = symfun.char_poly_coeffs(list(params.u))
+    delta = params.q_minus_qinv()
+    om = params.omega.prefix
+    a0_inv = acoeffs[0].inverse()
+    for ell in range(1, r):
+        lhs = field.zero
+        for j in range(1, r - ell + 1):
+            lhs = lhs + acoeffs[j + ell] * om[j]
+        lhs = delta * lhs
+        pos, neg = wy_bracket_sums(acoeffs, ell, r)
+        rhs = -(params.rho * (acoeffs[ell] - acoeffs[r - ell] * a0_inv)) \
+            + delta * (pos - neg)
+        if lhs != rhs:
+            return _report("wy-relations",
+                           Witness("wy-relations", ell, lhs, rhs))
+    return _report("wy-relations", None)
+
+
+def convolution_loop(field, prefix):
+    """The convolution identity of ``rationality.weak_admissibility_check``."""
+    om = [field(x) for x in prefix]
+    n = len(om)
+    for a in range((n - 2) // 2 + 1):
+        lhs = om[2 * a + 1] + om[2 * a + 1]
+        rhs = -om[2 * a]
+        for b in range(1, 2 * a + 2):
+            term = om[b - 1] * om[2 * a + 1 - b]
+            rhs = rhs + (term if b % 2 == 1 else -term)
+        if lhs != rhs:
+            return _report("convolution", Witness("convolution", a, lhs, rhs))
+    return _report("convolution", None)
+
+
+def frobenius_loop(field, prefix):
+    """omega_{2a} = omega_a^2, the characteristic-2 constraint of
+    ``rationality.weak_admissibility_check``."""
+    om = [field(x) for x in prefix]
+    n = len(om)
+    for a in range(n):
+        if 2 * a >= n:
+            break
+        if om[2 * a] != om[a] * om[a]:
+            return _report("frobenius",
+                           Witness("frobenius", a, om[2 * a], om[a] * om[a]))
+    return _report("frobenius", None)
+
+
+def series_report_loop(name, lhs, rhs):
+    """``report.series_report``: the first index where two series differ
+    on their shared range."""
+    for i in range(min(len(lhs), len(rhs))):
+        if lhs[i] != rhs[i]:
+            return _report(name, Witness(name, i, lhs[i], rhs[i]))
+    return _report(name, None)

@@ -233,10 +233,10 @@ def test_binary_field_document(tmp_path, capsys):
 def test_paramfile_round_trip(tmp_path):
     ps = degenerate_params(QQ, [2, 3], order=8)
     doc = dump_params(ps, d=1)
-    pf = parse_paramfile(doc)
-    assert pf.params.omega.prefix == ps.omega.prefix
-    assert pf.params.u == ps.u
-    assert pf.d == 1
+    params = parse_paramfile(doc)
+    assert params.omega.prefix == ps.omega.prefix
+    assert params.u == ps.u
+    assert doc["d"] == 1
 
 
 def test_prefix_document_with_closure(tmp_path, capsys):
@@ -268,7 +268,7 @@ def test_long_char2_series_needs_no_symbolic_cap(tmp_path, capsys):
     code, out, _ = run(capsys, "check", "--file", path, "--json")
     assert code == 0 and json.loads(out)["passed"] is True
     # the printed prefix agrees with its closure (a violated closure exits 2)
-    params = load_paramfile(path).params
+    params = load_paramfile(path)
     closure = symfun.char_poly_coeffs(list(params.u))[:len(u)]
     doc["omega"] = {"prefix": prefix,
                     "closure": [format_scalar(BinaryField(8), c) for c in closure]}

@@ -7,16 +7,18 @@ from fractions import Fraction
 
 import pytest
 
-from bmwparam.adm_degenerate import check_recursion
+from bmwparam.adm_degenerate import (check_recursion, check_relations,
+                                     check_u_admissible)
 from bmwparam.adm_nondegenerate import rui_xu_check, wilcox_yu_check
 from bmwparam.semiadm import detect
 from bmwparam.cli import main
-from bmwparam.fields import QQ, PrimeField
+from bmwparam.fields import QQ, BinaryField, PrimeField
 from bmwparam.omega import (OmegaSeq, ParamSet, ParameterError,
                             check_rho_constraint, degenerate_params,
                             nondegenerate_params, omega_negative,
                             verify_pm_identity)
-from bmwparam.rationality import ClassifyError, affine_classify
+from bmwparam.rationality import (ClassifyError, affine_classify,
+                                  weak_admissibility_check)
 from bmwparam.univar import Poly, RatFunc
 
 
@@ -194,6 +196,58 @@ def test_check_recursion_witness():
     params = ParamSet("degenerate", QQ, d.u, OmegaSeq(QQ, prefix))
     assert witness(check_recursion(params)) == ("recursion", "3", "1", "0")
     assert check_recursion(params, 2).passed
+
+
+def _bumped_degenerate(u, index, order):
+    """Degenerate data over QQ with omega_index raised by one, no closure."""
+    d = degenerate_params(QQ, u, order=order)
+    prefix = list(d.omega.prefix)
+    prefix[index] = prefix[index] + 1
+    return ParamSet("degenerate", QQ, d.u, OmegaSeq(QQ, prefix))
+
+
+def test_check_relations_witness():
+    # relations are listed j = r-1, ..., 0: omega_0 first appears in j = r-1,
+    # omega_{r-1} only in j = 0
+    rep = check_relations(_bumped_degenerate([2, 3], 0, 6))
+    assert rep.summary() == "relations: FAIL  [relations at 1: lhs = 11 != rhs = 10]"
+    rep = check_relations(_bumped_degenerate([2, 3, 5], 2, 8))
+    assert rep.checks == (("relations", False),)
+    assert witness(rep) == ("relations", "0", "92", "91")
+
+
+def test_check_u_admissible_witness():
+    rep = check_u_admissible(_bumped_degenerate([2, 3, 5], 2, 8))
+    assert rep.checks == (("u-admissible", False),)
+    assert witness(rep) == ("u-admissible", "2", "1541", "1540")
+    assert check_u_admissible(_bumped_degenerate([2, 3, 5], 2, 8), 1).passed
+
+
+def test_convolution_witness():
+    d = degenerate_params(QQ, [2, 3], order=6)
+    prefix = list(d.omega.prefix)
+    assert weak_admissibility_check(QQ, prefix).summary() == "convolution: pass"
+    prefix[3] = prefix[3] + 1
+    rep = weak_admissibility_check(QQ, prefix)
+    assert rep.summary() == (
+        "convolution: FAIL  [convolution at 1: lhs = 1112 != rhs = 1110]")
+    field = PrimeField(7)
+    prefix = list(degenerate_params(field, [2, 3], order=6).omega.prefix)
+    prefix[5] = prefix[5] + 1
+    assert witness(weak_admissibility_check(field, prefix)) == (
+        "convolution", "2", "6", "4")
+
+
+def test_frobenius_witness():
+    # in characteristic 2 the convolution at a reads omega_{2a} = omega_a^2,
+    # so only an odd-length prefix's last entry fails frobenius alone
+    field = BinaryField(4)
+    u = [field([0, 1]), field([1, 1]), field([0, 0, 1])]
+    prefix = list(degenerate_params(field, u, order=4).omega.prefix)
+    prefix[4] = prefix[4] + field.one
+    rep = weak_admissibility_check(field, prefix)
+    assert rep.checks == (("convolution", True), ("frobenius", False))
+    assert witness(rep) == ("frobenius", "2", "1+x^2", "x^2")
 
 
 # -------------------------------------------------------- classification

@@ -182,6 +182,16 @@ def test_backward_extension():
     assert ps.omega.omega(8).raw == 5 * 2 ** 8
 
 
+def test_negative_index_without_backward_closure():
+    # an empty closure (a file's "closure": []) has no a_0 to divide by
+    for closure in (None, (), (QQ(0), QQ(1))):
+        seq = OmegaSeq(QQ, (QQ(0),) * 3, closure)
+        with pytest.raises(IndexError) as ex:
+            seq.omega(-1)
+        assert str(ex.value) == \
+            "omega_-1 not stored; closure absent or a_0 = 0"
+
+
 # ------------------------------------------------------ negative indices
 def test_omega_negative_first_value():
     ps = nondegenerate_params(QQ, [3], 3, 2, order=8)

@@ -122,6 +122,7 @@ def test_extended_and_backward_match_loops(field, data):
     seq = OmegaSeq(field, tuple(stored), closure)
     upto = data.draw(st.integers(0, 25))
     assert list(seq.extended(upto).prefix) == extended_loop(seq, upto)
+    assert seq.omega(upto) == extended_loop(seq, upto)[upto]
     if closure[0]:
         count = data.draw(st.integers(1, 12))
         assert list(seq._backward(count)) == backward_loop(seq, count)

@@ -28,7 +28,7 @@ from .omega import (ParamSet, ParameterError, check_rho_constraint,
                     wplus_ratfunc)
 from .report import (AdmissibilityReport, Witness, first_difference,
                      ratfunc_report, series_report, single)
-from .univar import Series
+from .univar import Series, recurrence_apply
 
 
 def _require_nondegenerate(params: ParamSet):
@@ -76,12 +76,13 @@ def wilcox_yu_check(params: ParamSet, bound=None) -> AdmissibilityReport:
 
     report = check_recursion(params, bound)
 
-    lhs, rhs = [], []
+    # sum_{j=1}^{r-l} a_{j+l} omega_j is the residue that check_relations
+    # reads at omega_{r-1-l}, taken on the prefix shifted by one: listed
+    # l = r-1, ..., 1, so it is read backwards
+    lhs = [delta * acc for acc in reversed(
+        recurrence_apply(acoeffs[-2::-1], om[1:r], 0, r - 1))]
+    rhs = []
     for ell in range(1, r):
-        acc = field.zero
-        for j in range(1, r - ell + 1):
-            acc = acc + acoeffs[j + ell] * om[j]
-        lhs.append(delta * acc)
         pos, neg = wy_bracket_sums(acoeffs, ell, r)
         rhs.append(-(params.rho * (acoeffs[ell] - acoeffs[r - ell] * a0_inv))
                    + delta * (pos - neg))

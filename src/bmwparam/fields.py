@@ -7,6 +7,7 @@ invertible.  No floating point is used anywhere.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 
@@ -152,6 +153,11 @@ class Field:
         raise TypeError(f"{self} is not finite")
 
 
+# the one accepted string form of a rational: Fraction() would also take
+# decimals and exponents, and "1e30000000" builds a 30-million-digit integer
+_RATIONAL_STRING = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 class RationalField(Field):
     """The field Q, with elements stored as reduced Fractions."""
 
@@ -162,6 +168,10 @@ class RationalField(Field):
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         if isinstance(x, str):
+            if not _RATIONAL_STRING.fullmatch(x):
+                raise FieldCoercionError(
+                    f"cannot interpret {x!r} as a rational: "
+                    "expected \"n\" or \"n/d\" in decimal digits")
             return Fraction(x)
         raise FieldCoercionError(f"cannot interpret {x!r} as a rational")
 

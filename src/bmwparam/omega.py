@@ -318,38 +318,34 @@ def omega_negative(params: ParamSet, count: int) -> OmegaSeq:
         -omega_a + omega_{-a}
             + rho (q - q^{-1}) sum_{i=1}^a (omega_{a-i} omega_{-i} - omega_{a-2i}) = 0.
 
-    At each step the unknown omega_{-a} carries the coefficient
-    1 + rho (q - q^{-1})(omega_0 - 1) = rho^2, invertible by construction, so
-    the triangular solve never branches.
+    With W = sum_{a>=0} omega_a s^a, X = sum_{a>=1} omega_{-a} s^a and
+    F = rho (q - q^{-1}), the relations for a >= 1 are one series identity
+
+        X (1 + F (W - 1/(1-s^2))) = W + F W s^2/(1-s^2)   (from s^1 on),
+
+    the sum over omega_{a-2i} split at a - 2i = 0.  The divisor's constant
+    term 1 + F (omega_0 - 1) is rho^2 by the ground-ring relation, so X is
+    one series division, whatever the prefix.
     """
     if params.kind != "nondegenerate":
         raise ParameterError("negative indices need non-degenerate parameters")
     if len(params.omega) <= count:
         raise ParameterError(f"prefix too short for {count} negative terms")
     field = params.field
-    rho, q = params.rho, params.q
-    om = params.omega.prefix
-    factor = rho * (q - q.inverse())
+    rho = params.rho
+    om = params.omega.prefix[:count + 1]
+    factor = rho * params.q_minus_qinv()
     rho2_inv = (rho * rho).inverse()
-    neg = {}
-
-    def get(k):
-        return om[k] if k >= 0 else neg[-k]
-
-    for a in range(1, count + 1):
-        # gather every term not involving the unknown omega_{-a}
-        known = -om[a]
-        for i in range(1, a + 1):
-            if i != a:
-                known = known + factor * om[a - i] * neg[i]
-            if a - 2 * i >= 0:
-                known = known - factor * om[a - 2 * i]
-            elif 2 * i - a != a:
-                known = known - factor * neg[2 * i - a]
-        # unknown coefficient: 1 (standalone) + factor*omega_0 (i = a term)
-        # - factor (the omega_{a-2i} term at i = a); total rho^2
-        neg[a] = -(known * rho2_inv)
-    return params.omega.with_negative(tuple(neg[k] for k in range(1, count + 1)))
+    # parity sums sum_{i>=1} omega_{a-2i}: the coefficients of W s^2/(1-s^2)
+    parity = recurrence_solve((field.zero, -field.one),
+                              (field.zero, field.zero) + om, count + 1)
+    # both sides over rho^2, so that the divisor is monic
+    conn = [factor * ((w - field.one) if a % 2 == 0 else w) * rho2_inv
+            for a, w in enumerate(om[1:], 1)]
+    head = [field.zero] + [(w + factor * p) * rho2_inv
+                           for w, p in zip(om[1:], parity[1:])]
+    return params.omega.with_negative(
+        tuple(recurrence_solve(conn, head, count + 1)[1:]))
 
 
 def wplus_ratfunc(seq: OmegaSeq) -> RatFunc:

@@ -14,16 +14,17 @@ Schema (all scalars exact, floats rejected):
       "n": int, "d": int                     # optional, for count queries
     }
 
-Scalar encoding by field type: rationals as "numerator/denominator" strings
-(plain integer strings allowed), prime-field elements as integers, binary
-field elements as 0/1 coefficient lists (constants 0 and 1 also allowed).
-Parse failures carry the JSON path of the offending entry.
+Scalar encoding by field type: rationals as integers or as strings
+"n" or "n/d" (an optional sign, then decimal digits; no decimal point, no
+exponent), prime-field elements as integers or integer strings, binary
+field elements as 0/1 coefficient lists (the constants 0 and 1, or the
+strings "0" and "1", also allowed).  Parse failures carry the JSON path of
+the offending entry.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .fields import QQ, BinaryField, Field, FieldCoercionError, field_from_descriptor
 from .omega import (OmegaSeq, ParamSet, ParameterError, degenerate_params,
@@ -54,8 +55,9 @@ def parse_scalar(field: Field, value, path: str):
     try:
         if isinstance(value, str):
             if field == QQ:
-                return field(Fraction(value))
-            return field(int(value))
+                return field(value)
+            # a finite-field string is the int it spells, under the int rules
+            value = int(value)
         if isinstance(value, int):
             if isinstance(field, BinaryField) and value not in (0, 1):
                 raise ParamFileError(
@@ -140,10 +142,7 @@ def parse_paramfile(doc, default_order=20) -> ParamSet:
                     parse_scalar(field, v, f"omega.closure[{i}]")
                     for i, v in enumerate(omega["closure"]))
             seq = OmegaSeq(field, tuple(prefix), closure)
-            if kind == "degenerate":
-                params = ParamSet(kind, field, tuple(u), seq)
-            else:
-                params = ParamSet(kind, field, tuple(u), seq, rho=rho, q=q)
+            params = ParamSet(kind, field, tuple(u), seq, rho=rho, q=q)
         else:
             raise ParamFileError("omega", "need from_u: true or a prefix list")
     except (ParameterError, FieldCoercionError) as ex:

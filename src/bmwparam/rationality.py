@@ -31,7 +31,7 @@ from .omega import (ParamSet, ParameterError, _g_ratfunc, _pm_factors_rat,
                     checked_delta, first_residue, wminus_ratfunc,
                     wplus_ratfunc)
 from .report import AdmissibilityReport, first_difference
-from .univar import Poly, RatFunc, SplitError
+from .univar import Poly, RatFunc, SplitError, recurrence_apply
 
 
 class FitError(ValueError):
@@ -63,34 +63,23 @@ def berlekamp_massey(field, seq):
     """Connection coefficients c_1..c_L of the minimal LFSR generating seq:
     s_n = -(c_1 s_{n-1} + ... + c_L s_{n-L}) for L <= n < len(seq)."""
     seq = [field(s) for s in seq]
-    n_total = len(seq)
     c = [field.one]
     b = [field.one]
     L, m = 0, 1
     delta_b = field.one
-    for n in range(n_total):
-        d = seq[n]
-        for i in range(1, L + 1):
-            d = d + c[i] * seq[n - i]
+    for n in range(len(seq)):
+        # the discrepancy: the residue of the current recurrence at n
+        d = recurrence_apply(c[1:L + 1], seq, n, n + 1)[0]
         if not d:
             m += 1
             continue
         coef = d * delta_b.inverse()
+        old_c, c = c, c + [field.zero] * (len(b) + m - len(c))
+        for i, bi in enumerate(b):
+            c[i + m] = c[i + m] - coef * bi
         if 2 * L <= n:
-            old_c = list(c)
-            if len(c) < len(b) + m:
-                c = c + [field.zero] * (len(b) + m - len(c))
-            for i, bi in enumerate(b):
-                c[i + m] = c[i + m] - coef * bi
-            L = n + 1 - L
-            b = old_c
-            delta_b = d
-            m = 1
+            L, b, delta_b, m = n + 1 - L, old_c, d, 1
         else:
-            if len(c) < len(b) + m:
-                c = c + [field.zero] * (len(b) + m - len(c))
-            for i, bi in enumerate(b):
-                c[i + m] = c[i + m] - coef * bi
             m += 1
     return c[1:L + 1], L
 

@@ -54,13 +54,8 @@ def elem_sym(k, xs):
         raise IndexError(f"eps_{k} undefined for {r} variables")
     if r == 0:
         raise ValueError("need at least one variable")
-    one = _one_like(xs[0])
-    zero = one * 0
-    dp = [one] + [zero] * k
-    for x in xs:
-        for j in range(k, 0, -1):
-            dp[j] = dp[j] + dp[j - 1] * x
-    return dp[k]
+    coeff = char_poly_coeffs(xs)[r - k]     # (-1)^k eps_k
+    return -coeff if k % 2 else coeff
 
 
 def power_sum(a, xs):

@@ -11,7 +11,11 @@
 * ``first_residue_loop``, ``half_q_series_loop``, ``extended_loop``,
   ``backward_loop`` and ``series_at_infinity_push`` run a recurrence or a
   series division one element at a time, as the library did before
-  ``univar.recurrence_apply`` / ``recurrence_solve`` took them over.
+  ``univar.recurrence_apply`` / ``recurrence_solve`` took them over; so do
+  ``omega_negative_loop`` (the two-sided relation as a triangular solve),
+  ``elem_sym_loop`` (eps_k by its own product expansion, not read off
+  ``char_poly_coeffs``) and ``berlekamp_massey_loop`` (the discrepancy
+  summed by hand, a connection update in each branch).
 * ``relations_loop``, ``u_admissible_loop``, ``wy_relations_loop``,
   ``convolution_loop``, ``frobenius_loop`` and ``series_report_loop`` each
   compute one criterion's two sides equation by equation and stop at the
@@ -278,6 +282,78 @@ def series_at_infinity_push(f, order):
                 if k + j <= order:
                     rem[k + j] = rem[k + j] - c * d
     return out
+
+
+def omega_negative_loop(params, count):
+    """``omega.omega_negative(params, count).negative``, solving
+
+        -omega_a + omega_{-a}
+            + rho (q - q^{-1}) sum_{i=1}^a (omega_{a-i} omega_{-i} - omega_{a-2i}) = 0
+
+    for omega_{-a}, a = 1..count, whose coefficient is rho^2."""
+    rho, q = params.rho, params.q
+    om = params.omega.prefix
+    factor = rho * (q - q.inverse())
+    rho2_inv = (rho * rho).inverse()
+    neg = {}
+    for a in range(1, count + 1):
+        # gather every term not involving the unknown omega_{-a}
+        known = -om[a]
+        for i in range(1, a + 1):
+            if i != a:
+                known = known + factor * om[a - i] * neg[i]
+            if a - 2 * i >= 0:
+                known = known - factor * om[a - 2 * i]
+            elif 2 * i - a != a:
+                known = known - factor * neg[2 * i - a]
+        neg[a] = -(known * rho2_inv)
+    return tuple(neg[k] for k in range(1, count + 1))
+
+
+def elem_sym_loop(k, xs):
+    """``symfun.elem_sym``: eps_k by expanding prod (1 + x s) through s^k."""
+    one = xs[0] ** 0
+    zero = one * 0
+    dp = [one] + [zero] * k
+    for x in xs:
+        for j in range(k, 0, -1):
+            dp[j] = dp[j] + dp[j - 1] * x
+    return dp[k]
+
+
+def berlekamp_massey_loop(field, seq):
+    """``rationality.berlekamp_massey``, the discrepancy summed term by term
+    and the connection update written out in each branch."""
+    seq = [field(s) for s in seq]
+    c = [field.one]
+    b = [field.one]
+    L, m = 0, 1
+    delta_b = field.one
+    for n in range(len(seq)):
+        d = seq[n]
+        for i in range(1, L + 1):
+            d = d + c[i] * seq[n - i]
+        if not d:
+            m += 1
+            continue
+        coef = d * delta_b.inverse()
+        if 2 * L <= n:
+            old_c = list(c)
+            if len(c) < len(b) + m:
+                c = c + [field.zero] * (len(b) + m - len(c))
+            for i, bi in enumerate(b):
+                c[i + m] = c[i + m] - coef * bi
+            L = n + 1 - L
+            b = old_c
+            delta_b = d
+            m = 1
+        else:
+            if len(c) < len(b) + m:
+                c = c + [field.zero] * (len(b) + m - len(c))
+            for i, bi in enumerate(b):
+                c[i + m] = c[i + m] - coef * bi
+            m += 1
+    return c[1:L + 1], L
 
 
 # ------------------------------------------------------------ first failures

@@ -314,6 +314,20 @@ def test_budget_classify_gf1000003_r3(tmp_path, capsys):
     _finish("bmwparam classify, GF(1000003), r=3", started, 1)
 
 
+def test_budget_exponent_scalar_refused(tmp_path, capsys):
+    # Fraction("1e30000000") would build a 30-million-digit integer; the
+    # 12-byte scalar is refused as an undocumented form instead
+    doc = {"kind": "degenerate", "field": {"type": "rational"},
+           "u": ["1e30000000"]}
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    started = time.monotonic()
+    assert main(["gen-omega", "--file", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: u[0]:")
+    _finish("bmwparam gen-omega refuses an exponent-notation rational",
+            started, 1)
+
+
 def test_budget_factorize_round_trip_all_n6():
     diagrams = list(enumerate_diagrams(6))
     assert len(diagrams) == 10395

@@ -5,12 +5,13 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bmwparam import symfun
 from bmwparam.cli import main
 from bmwparam.paramfile import (ParamFileError, dump_params, format_scalar,
-                                load_paramfile, parse_paramfile)
-from bmwparam.fields import QQ, BinaryField
+                                load_paramfile, parse_paramfile, parse_scalar)
+from bmwparam.fields import QQ, BinaryField, FieldElement, PrimeField
 from bmwparam.omega import degenerate_params
 
 
@@ -359,9 +360,65 @@ BINARY = {"type": "binary", "k": 2}
     ({"omega": {"from_u": True, "order": True}}, "omega.order"),
     ({"n": True}, "n"),
     ({"d": True}, "d"),
+    # Fraction() would build a 30-million-digit int from this 12-byte scalar
+    ({"u": ["1e30000000"]}, "u[0]"),
+    ({"u": ["1.5"]}, "u[0]"),
+    # binary-field strings are ints under the int rules, not read mod 2
+    ({"field": BINARY, "u": ["2", [0, 1]]}, "u[0]"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_document_exits_2_with_path(tmp_path, capsys, override, path):
     doc = dict(BASE_DEG, **override)
     code, _, err = run(capsys, "check", "--file", write(tmp_path, doc))
     assert code == 2
     assert err.startswith(f"error: {path}:"), err
+
+
+# ------------------------------------------------------------ scalars
+SCALAR_FIELDS = [QQ, PrimeField(7), PrimeField(10007), BinaryField(4)]
+RATIONAL_STRINGS = st.from_regex(r"[+-]?[0-9]{1,6}(/[1-9][0-9]{0,3})?",
+                                 fullmatch=True)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | RATIONAL_STRINGS
+    | st.sampled_from(["1.5", "1e3", "1e30000000", " 3", "1_0", "3/0", "2",
+                       "0", "1", "-1", "0x1f", "\u0663"]),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+
+
+def documented(field):
+    """The scalar forms the schema documents for a field."""
+    if field == QQ:
+        return st.integers() | RATIONAL_STRINGS.filter(
+            lambda s: not s.endswith("/0"))
+    if isinstance(field, BinaryField):
+        return st.sampled_from([0, 1, "0", "1"]) | st.lists(
+            st.integers(0, 1), max_size=field.k)
+    return st.integers() | st.integers().map(str)
+
+
+@given(st.sampled_from(SCALAR_FIELDS), JSON_VALUES)
+def test_parse_scalar_returns_an_element_or_refuses_with_the_path(field, value):
+    try:
+        x = parse_scalar(field, value, "u[3]")
+    except ParamFileError as ex:
+        assert ex.path == "u[3]"
+        assert str(ex).startswith("u[3]: ")
+    else:
+        assert isinstance(x, FieldElement) and x.field == field
+
+
+@given(st.sampled_from(SCALAR_FIELDS), st.data())
+def test_documented_scalars_round_trip(field, data):
+    x = parse_scalar(field, data.draw(documented(field)), "u[0]")
+    text = format_scalar(field, x)
+    assert parse_scalar(field, text, "u[0]") == x
+    assert format_scalar(field, parse_scalar(field, text, "u[0]")) == text
+
+
+def test_construct_refuses_non_rational_base(capsys):
+    code, out, err = run(capsys, "construct-example", "--base", "2,1.5",
+                         "--extra", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: base[1]:"), err

@@ -110,6 +110,13 @@ def test_char_and_rationals():
     assert QQ("3/4") + QQ("1/4") == QQ.one
 
 
+@pytest.mark.parametrize("text", ["1.5", "1e3", "1e30000000", " 3", "1_0",
+                                  "3/-4", "+", "", "\u0663"])
+def test_rational_strings_are_n_or_n_over_d(text):
+    with pytest.raises(FieldCoercionError, match="n/d"):
+        QQ(text)
+
+
 def test_zero_division():
     with pytest.raises(ZeroDivisionError):
         QQ.zero.inverse()

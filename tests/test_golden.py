@@ -3,10 +3,12 @@ each check whose logic is shared between modules, pinned so that moving
 that logic cannot change what a user reads."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
+from bmwparam import symfun
 from bmwparam.adm_degenerate import (check_recursion, check_relations,
                                      check_u_admissible)
 from bmwparam.adm_nondegenerate import rui_xu_check, wilcox_yu_check
@@ -110,6 +112,33 @@ def test_rho_witnesses_even_r():
         "got rho = 1/2, q^-1 p = -2, -q p = 8")
 
 
+def _rerun_head(us, rho, bumps):
+    """Honest QQ data with q = 2 whose omega_i, i < r, are raised by
+    bumps[i] and whose later terms are rerun by the recursion, so that the
+    recursion check passes and the bracket relations see the change."""
+    h = nondegenerate_params(QQ, us, rho, 2, order=2 * len(us) + 3)
+    head = list(h.omega.prefix[:h.r])
+    for i, x in bumps.items():
+        head[i] = head[i] + x
+    closed = OmegaSeq(QQ, head, symfun.closure_coeffs(h.u))
+    prefix = closed.extended(len(h.omega) - 1).prefix
+    return ParamSet("nondegenerate", QQ, h.u, OmegaSeq(QQ, prefix),
+                    rho=h.rho, q=h.q)
+
+
+def test_wy_relations_witness():
+    rep = wilcox_yu_check(_rerun_head([2, 3, 5], 30, {1: 1}))
+    assert rep.summary() == (
+        "recursion: pass, wy-relations: FAIL, rho-constraint: pass  "
+        "[wy-relations at 1: lhs = -980 != rhs = -965]")
+    # relation l reads omega_1..omega_{r-l}: with a_2 = 101, raising
+    # omega_1 by 1 and omega_3 by -101 leaves l = 1 intact, so l = 2 fails
+    rep = wilcox_yu_check(_rerun_head([2, 3, 5, 7], 105, {1: 1, 3: -101}))
+    assert rep.summary() == (
+        "recursion: pass, wy-relations: FAIL, rho-constraint: pass  "
+        "[wy-relations at 2: lhs = -21787/2 != rhs = -10868]")
+
+
 # ------------------------------------------------------ w^+/w^- identity
 
 def test_pm_identity_closure_failure():
@@ -160,6 +189,19 @@ def test_pm_identity_bare_prefix_certified_by_recursion():
     assert str(ex.value) == (
         "insufficient prefix: without stored negative indices the identity "
         "is certified by the recursion, which needs omega_0..omega_2")
+
+
+def test_omega_negative_values_finite_fields():
+    field = PrimeField(10007)
+    h = nondegenerate_params(field, [2, 3], -30, 5, order=8)
+    assert [x.raw for x in omega_negative(h, 6).negative] == [
+        3880, 9477, 5583, 3073, 4966, 5294]
+    field = BinaryField(4)
+    u = [field([0, 1]), field([1, 1]), field([0, 0, 1])]
+    h = nondegenerate_params(field, u, math.prod(u, start=field.one),
+                             field([1, 0, 1]), order=8)
+    assert [str(x) for x in omega_negative(h, 6).negative] == [
+        "1+x+x^2+x^3", "1+x+x^2+x^3", "1", "1", "x+x^2+x^3", "1"]
 
 
 # ------------------------------------------------------- preconditions

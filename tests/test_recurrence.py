@@ -1,7 +1,7 @@
 """The linear-recurrence kernel ``univar.recurrence_apply`` /
-``recurrence_solve``, and each library route built on it against the
-element-wise loop it replaced (``tests/oracles.py``), over QQ, GF(p),
-GF(2^k) and MPoly values."""
+``recurrence_solve``, and each library route built on it (or on
+``symfun.char_poly_coeffs``) against the element-wise loop it replaced
+(``tests/oracles.py``), over QQ, GF(p), GF(2^k) and MPoly values."""
 
 from fractions import Fraction
 
@@ -10,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 from bmwparam import symfun
 from bmwparam.fields import QQ, BinaryField, FieldElement, PrimeField
 from bmwparam.mpoly import MPoly
-from bmwparam.omega import OmegaSeq, first_residue
+from bmwparam.omega import OmegaSeq, ParamSet, first_residue, omega_negative
+from bmwparam.rationality import berlekamp_massey
 from bmwparam.univar import (Poly, RatFunc, Series, recurrence_apply,
                              recurrence_solve)
-from oracles import (backward_loop, extended_loop, first_residue_loop,
-                     half_q_series_loop, series_at_infinity_push)
+from oracles import (backward_loop, berlekamp_massey_loop, elem_sym_loop,
+                     extended_loop, first_residue_loop, half_q_series_loop,
+                     omega_negative_loop, series_at_infinity_push)
 
 FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(10007),
           BinaryField(1), BinaryField(4)]
@@ -127,6 +129,46 @@ def test_extended_and_backward_match_loops(field, data):
         count = data.draw(st.integers(1, 12))
         assert list(seq._backward(count)) == backward_loop(seq, count)
         assert seq.omega(-count) == backward_loop(seq, count)[-1]
+
+
+# every unit of GF(2) squares to 1, so q - q^{-1} vanishes there
+NONDEGENERATE_FIELDS = [QQ, PrimeField(7), PrimeField(10007), BinaryField(4)]
+
+
+@given(st.sampled_from(NONDEGENERATE_FIELDS), st.data())
+def test_omega_negative_matches_loop(field, data):
+    # any prefix whose omega_0 meets the ground-ring relation
+    el = elements(field)
+    nonzero = el.filter(bool)
+    q = data.draw(nonzero.filter(lambda x: x - x.inverse()))
+    rho = data.draw(nonzero)
+    omega0 = field.one + (rho.inverse() - rho) / (q.inverse() - q)
+    rest = data.draw(st.lists(el, max_size=12))
+    params = ParamSet("nondegenerate", field, (data.draw(nonzero),),
+                      OmegaSeq(field, (omega0, *rest)), rho=rho, q=q)
+    for count in range(len(params.omega)):
+        assert omega_negative(params, count).negative \
+            == omega_negative_loop(params, count)
+
+
+@given(st.sampled_from(FIELDS), st.data())
+def test_berlekamp_massey_matches_loop(field, data):
+    # a random sequence, or the run of a random recurrence from a random head
+    el = elements(field)
+    if data.draw(st.booleans()):
+        seq = data.draw(st.lists(el, max_size=16))
+    else:
+        conn = data.draw(st.lists(el, max_size=5))
+        head = data.draw(st.lists(el, min_size=1, max_size=len(conn) + 1))
+        seq = recurrence_solve(conn, head, data.draw(st.integers(1, 16)))
+    assert berlekamp_massey(field, seq) == berlekamp_massey_loop(field, seq)
+
+
+@given(st.sampled_from(RINGS), st.data())
+def test_elem_sym_matches_loop(ring, data):
+    xs = data.draw(st.lists(elements(ring), min_size=1, max_size=6))
+    for k in range(len(xs) + 1):
+        assert symfun.elem_sym(k, xs) == elem_sym_loop(k, xs)
 
 
 @st.composite

@@ -24,6 +24,9 @@ from .paramfile import (ParamFileError, dump_params, format_scalar,
 
 PASS, FAIL, USAGE = 0, 1, 2
 
+# CPython prints no int over 4300 digits; (2n-1)!! passes that at n = 1424
+COUNT_DIGITS_MAX, COUNTS_N_MAX, _COUNT_BITS_MAX = 4300, 1423, 14285
+
 
 def _emit(args, text_lines, payload):
     if args.json:
@@ -128,27 +131,35 @@ def cmd_classify(args):
 
 
 def cmd_counts(args):
-    if args.n is None or args.r is None:
-        print("counts needs --n and --r", file=sys.stderr)
-        return USAGE
     n, r = args.n, args.r
     d = args.d if args.d is not None else r
+    too_large = (f"counts for --n {n} --r {r} --d {d} pass "
+                 f"{COUNT_DIGITS_MAX} digits")
     try:
+        if n is None or r is None:
+            raise ValueError("counts needs --n and --r")
+        if not 0 <= n <= COUNTS_N_MAX:
+            raise ValueError(f"--n must lie in 0..{COUNTS_N_MAX}, got {n}")
+        # r^n >= 2^(n (bit length - 1)) divides a count; 2^14285 > 10^4300
+        if r > 0 and n * (r.bit_length() - 1) >= _COUNT_BITS_MAX:
+            raise ValueError(too_large)
         rank = semiadm.rank_formula(n, r, d)
     except ValueError as ex:
         print(str(ex), file=sys.stderr)
         return USAGE
-    dbl = diagrams.double_factorial_odd(n)
     payload = {
         "n": n, "r": r, "d": d,
-        "diagrams": dbl,
+        "diagrams": diagrams.double_factorial_odd(n),
         "diagrams_with_horizontal": diagrams.b_prime(n),
         "regular_monomials": diagrams.count_regular(n, r),
         "ideal_spanning": diagrams.count_ideal_spanning(n, d),
         "rank": rank,
     }
+    if max(payload.values()) >= 10 ** COUNT_DIGITS_MAX:
+        print(too_large, file=sys.stderr)
+        return USAGE
     lines = [
-        f"(2n-1)!! diagrams: {dbl}",
+        f"(2n-1)!! diagrams: {payload['diagrams']}",
         f"with a horizontal strand b'(n): {payload['diagrams_with_horizontal']}",
         f"regular monomials r^n (2n-1)!!: {payload['regular_monomials']}",
         f"ideal spanning d^n b'(n): {payload['ideal_spanning']}",
@@ -159,12 +170,8 @@ def cmd_counts(args):
 
 
 def _parse_root_list(text, field, what):
-    if not text:
-        return []
-    out = []
-    for i, part in enumerate(text.split(",")):
-        out.append(parse_scalar(field, part.strip(), f"{what}[{i}]"))
-    return out
+    return [parse_scalar(field, part.strip(), f"{what}[{i}]")
+            for i, part in enumerate(text.split(","))] if text else []
 
 
 def cmd_construct_example(args):
@@ -242,21 +249,14 @@ def build_parser():
         p.add_argument("--json", action="store_true",
                        help="emit a JSON report instead of text")
 
-    p = sub.add_parser("gen-omega", help="emit the omega prefix")
-    common(p)
-    p.set_defaults(func=cmd_gen_omega)
-
-    p = sub.add_parser("check", help="run the admissibility criteria")
-    common(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("detect-semi", help="three-way regime detection")
-    common(p)
-    p.set_defaults(func=cmd_detect_semi)
-
-    p = sub.add_parser("classify", help="affine rationality classification")
-    common(p)
-    p.set_defaults(func=cmd_classify)
+    for name, func, text in (
+            ("gen-omega", cmd_gen_omega, "emit the omega prefix"),
+            ("check", cmd_check, "run the admissibility criteria"),
+            ("detect-semi", cmd_detect_semi, "three-way regime detection"),
+            ("classify", cmd_classify, "affine rationality classification")):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("counts", help="diagram and rank counts")
     common(p, file_required=False)

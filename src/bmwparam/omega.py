@@ -236,13 +236,6 @@ class RXFunctions(NamedTuple):
     Z: RatFunc
 
 
-def _g_ratfunc(field, u) -> RatFunc:
-    """G(t) = prod (t - u_l)/(t u_l - 1)."""
-    den = math.prod((Poly(field, (-field.one, ul)) for ul in u),
-                    start=Poly.one(field))
-    return RatFunc(Poly.from_roots(field, u), den)
-
-
 def rx_functions(field, u, rho, q) -> RXFunctions:
     """G(t) = prod (t - u_l)/(t u_l - 1); Z(t) = -rho^{-1}
     + (q - q^{-1}) t^2/(t^2-1) + A(t) G(t^{-1}), with the odd/even branch
@@ -250,22 +243,25 @@ def rx_functions(field, u, rho, q) -> RXFunctions:
         A(t) = rho^{-1} p + (q - q^{-1}) t/(t^2-1)      (r odd)
         A(t) = rho^{-1} p - (q - q^{-1}) t^2/(t^2-1)    (r even)
 
-    where p = prod u_j."""
+    where p = prod u_j.  Each is one fraction in P(t) = prod (t - u_l) and
+    rev P(t) = t^r P(1/t) = prod (1 - u_l t), with p = (-1)^r P(0),
+    delta = q - q^{-1} and A = a(t)/(t^2 - 1):
+
+        G = (-1)^r P / rev P,    G(1/t) = rev P / ((-1)^r P),
+        Z = [(delta t^2 - rho^{-1}(t^2 - 1)) (-1)^r P + a(t) rev P]
+            / ((t^2 - 1) (-1)^r P)."""
     u = [field(x) for x in u]
     rho, q = field(rho), field(q)
-    t = RatFunc.t(field)
-    one = RatFunc.constant(field, 1)
-    G = _g_ratfunc(field, u)
-    ginv = G.substitute_inverse_t()
-    delta = q - q.inverse()
-    tt = t * t
-    base = RatFunc.constant(field, rho.inverse() * math.prod(u, start=field.one))
-    if len(u) % 2 == 1:
-        A = base + t * delta / (tt - one)
-    else:
-        A = base - tt * delta / (tt - one)
-    Z = RatFunc.constant(field, -rho.inverse()) + tt * delta / (tt - one) + A * ginv
-    return RXFunctions(G, A, Z)
+    P = Poly.from_roots(field, u)
+    rev = P.reversed()
+    signed = P if len(u) % 2 == 0 else -P          # (-1)^r P
+    delta, rinv = q - q.inverse(), rho.inverse()
+    tt1 = Poly(field, (-1, 0, 1))                   # t^2 - 1
+    a = tt1 * (rinv * signed.coeff(0)) \
+        + Poly(field, (0, delta) if len(u) % 2 == 1 else (0, 0, -delta))
+    Z = RatFunc(Poly(field, (rinv, 0, delta - rinv)) * signed + a * rev,
+                tt1 * signed)
+    return RXFunctions(RatFunc(signed, rev), RatFunc(a, tt1), Z)
 
 
 def check_rho_constraint(field, u, rho, q) -> Optional[str]:
@@ -373,18 +369,21 @@ def wminus_ratfunc(seq: OmegaSeq) -> RatFunc:
 
 
 def _pm_factors_rat(params: ParamSet):
-    """h(t), -h(1/t) and the right-hand side of the w^+/w^- identity."""
+    """h(t), -h(1/t) and the right-hand side of the w^+/w^- identity, each
+    one fraction: with c = rho^{-1}/(q - q^{-1}),
+
+        h = (c (t^2 - 1) - t^2)/(t^2 - 1),
+        -h(1/t) = (-1 - c (t^2 - 1))/(t^2 - 1),
+        rhs = (t^2 - (q - q^{-1})^{-2} (t^2 - 1)^2)/(t^2 - 1)^2."""
     field = params.field
     delta_inv = (params.q - params.q.inverse()).inverse()
-    rinv = params.rho.inverse()
-    t = RatFunc.t(field)
-    one = RatFunc.constant(field, 1)
-    tt = t * t
-    denom = tt - one
-    left_shift = -(tt / denom) + RatFunc.constant(field, rinv * delta_inv)
-    right_shift = -(one / denom) - RatFunc.constant(field, rinv * delta_inv)
-    rhs = tt / (denom * denom) - RatFunc.constant(field, delta_inv * delta_inv)
-    return left_shift, right_shift, rhs
+    c = params.rho.inverse() * delta_inv
+    tt1 = Poly(field, (-1, 0, 1))                   # t^2 - 1
+    square = tt1 * tt1
+    return (RatFunc(Poly(field, (-c, 0, c - 1)), tt1),
+            RatFunc(Poly(field, (c - 1, 0, -c)), tt1),
+            RatFunc(Poly(field, (0, 0, 1)) - square * (delta_inv * delta_inv),
+                    square))
 
 
 def verify_pm_identity(params: ParamSet, bound: int = None) -> AdmissibilityReport:

@@ -65,7 +65,7 @@ def parse_scalar(field: Field, value, path: str):
                           f"got bare integer {value}")
             return field(value)
         if isinstance(value, list):
-            if not all(_is_int(c) for c in value):
+            if isinstance(field, BinaryField) and not all(map(_is_int, value)):
                 raise ParamFileError(path, f"coefficients must be the ints 0 "
                                            f"and 1, got {value!r}")
             return field(value)

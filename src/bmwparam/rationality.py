@@ -22,16 +22,15 @@ distinct roots over the supplied field.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .adm_nondegenerate import rui_xu_check
-from .omega import (ParamSet, ParameterError, _g_ratfunc, _pm_factors_rat,
-                    checked_delta, first_residue, wminus_ratfunc,
-                    wplus_ratfunc)
+from .omega import (ParamSet, ParameterError, _pm_factors_rat, checked_delta,
+                    first_residue, wminus_ratfunc, wplus_ratfunc)
 from .report import AdmissibilityReport, first_difference
-from .univar import Poly, RatFunc, SplitError, recurrence_apply
+from .univar import (Poly, RatFunc, SplitError, recurrence_apply,
+                     recurrence_solve)
 
 
 class FitError(ValueError):
@@ -150,7 +149,11 @@ def char2_recover(field, prefix) -> Char2Recovery:
     Preconditions checked in order: characteristic 2; the weak admissibility
     constraints; a certified minimal recursion on the a >= 1 tail whose
     characteristic polynomial splits over the field with distinct nonzero
-    roots; and the power-sum identity across the whole prefix.
+    roots; and the power-sum identity across the whole prefix.  The power
+    sums p_a = sum x^a come from the characteristic polynomial c by Newton's
+    identities: with rev c(s) = s^L c(1/s) = prod (1 - x s) = 1 + c_1 s +
+    ... + c_L s^L, sum_{a>=1} p_a s^a = -s (rev c)'(s) / rev c(s), one
+    series division with head -k c_k (k = 1..L).
     """
     if field.char != 2:
         raise RecoveryError("recovery applies to characteristic 2 only")
@@ -174,20 +177,18 @@ def char2_recover(field, prefix) -> Char2Recovery:
             "characteristic polynomial")
     if any(not x for x in roots):
         raise RecoveryError("recursion root 0 cannot carry a power sum")
-    exponents = range(1, len(om))
-    bad = first_difference(
-        "power-sum", om[1:],
-        (sum((x ** a for x in roots), field.zero) for a in exponents),
-        exponents).witness
+    conn = fit.coeffs[::-1]
+    head = [field.zero] + [-k * c for k, c in enumerate(conn, 1)]
+    power_sums = recurrence_solve(conn, head, len(om))[1:]
+    bad = first_difference("power-sum", om[1:], power_sums,
+                           range(1, len(om))).witness
     if bad is not None:
         raise RecoveryError(f"power-sum verification fails at a={bad.index}: "
                             f"{bad.lhs} != {bad.rhs}")
-    omega0 = om[0]
-    parity = field.one if len(roots) % 2 == 1 else field.zero
-    zero_adjoined = omega0 != parity
+    zero_adjoined = om[0] != field(len(roots) % 2)
     roots = tuple(sorted(roots, key=lambda x: x.raw))
     admissible = roots + ((field.zero,) if zero_adjoined else ())
-    return Char2Recovery(roots, omega0, zero_adjoined, admissible)
+    return Char2Recovery(roots, om[0], zero_adjoined, admissible)
 
 
 _CASES = {
@@ -241,34 +242,32 @@ def affine_classify(params: ParamSet) -> RationalityClassification:
         raise ParameterError("w^+ has a pole at 0")
 
     h, right_shift, rhs = _pm_factors_rat(params)
-    if (wp + h) * (wminus_ratfunc(params.omega) + right_shift) != rhs:
+    shifted = wp + h
+    if shifted * (wminus_ratfunc(params.omega) + right_shift) != rhs:
         raise ClassifyError(
             "the two-sided product identity fails; the negative-index "
             "sequence does not match -w^+(1/t)")
 
-    q = params.q
-    bee_num = Poly.from_roots(field, (-q, q.inverse()))
-    bee_den = Poly.from_roots(field, (field.one, -field.one)) * delta
-    B = RatFunc(bee_num, bee_den)
-    R = (wp + h) / B
-
+    # B = (t + q)(t - 1/q) / (delta (t^2 - 1))
+    R = shifted / RatFunc(Poly(field, (-1, delta, 1)),
+                          Poly(field, (-delta, 0, delta)))
+    D = R.den
     try:
-        roots = R.den.roots_with_multiplicity()
+        roots = D.roots_with_multiplicity()
     except SplitError as ex:
         raise ClassifyError(
             f"recovered denominator does not split: {ex}") from ex
-    inv_g = 1 / _g_ratfunc(field, roots)     # prod (t u - 1)/(t - u)
-    if R == inv_g:
+    # with D = prod (t - u): 1/G = (-1)^r rev D / D and prod u = (-1)^r D(0)
+    inv_g = D.reversed() if D.degree % 2 == 0 else -D.reversed()
+    if R.num == inv_g:
         alpha = 0
-    elif R == -inv_g:
+    elif R.num == -inv_g:
         alpha = 1
     else:
         raise ClassifyError(
             f"(w^+ + h)/B = {R!r} is not +- a product of factors "
             "(t u - 1)/(t - u)")
-    expected_rho = math.prod(roots, start=field.one)
-    if alpha:
-        expected_rho = -expected_rho
+    expected_rho = D.coeff(0) if (D.degree + alpha) % 2 == 0 else -D.coeff(0)
     if params.rho != expected_rho:
         raise ClassifyError(
             f"rho = {params.rho} differs from (-1)^alpha prod u = {expected_rho}")

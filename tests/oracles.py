@@ -21,6 +21,12 @@
   compute one criterion's two sides equation by equation and stop at the
   first that fails, as the library did before ``report.first_difference``
   took the comparison over.
+* ``g_ratfunc``, ``rx_functions_chain``, ``pm_factors_chain``,
+  ``affine_classify_by_roots`` and ``power_sums_pow`` build the generating
+  functions as chains of normalized ``RatFunc``s, take 1/G and rho from the
+  recovered roots, and take power sums by exponentiation, as the library
+  did before it built each function from prod (t - u) and read 1/G and rho
+  off the recovered denominator.
 """
 
 from __future__ import annotations
@@ -35,9 +41,14 @@ from bmwparam.adm_degenerate import (check_recursion, check_relations,
 from bmwparam.adm_nondegenerate import rui_xu_check, wilcox_yu_check
 from bmwparam.fields import QQ, FieldElement
 from bmwparam.mpoly import MPoly
-from bmwparam.omega import (OmegaSeq, ParamSet, degenerate_params,
-                            nondegenerate_params)
+from bmwparam.omega import (OmegaSeq, ParamSet, ParameterError,
+                            checked_delta, degenerate_params,
+                            nondegenerate_params, wminus_ratfunc,
+                            wplus_ratfunc)
+from bmwparam.rationality import (_CASES, ClassifyError,
+                                  RationalityClassification, _root_key)
 from bmwparam.report import AdmissibilityReport, Witness
+from bmwparam.univar import Poly, RatFunc, SplitError
 
 
 # ------------------------------------------------------------ sampling
@@ -455,3 +466,111 @@ def series_report_loop(name, lhs, rhs):
         if lhs[i] != rhs[i]:
             return _report(name, Witness(name, i, lhs[i], rhs[i]))
     return _report(name, None)
+
+
+# ------------------------------------------- generating functions by chains
+def g_ratfunc(field, u):
+    """G(t) = prod (t - u_l)/(t u_l - 1), the denominator multiplied out
+    factor by factor."""
+    den = math.prod((Poly(field, (-field.one, ul)) for ul in u),
+                    start=Poly.one(field))
+    return RatFunc(Poly.from_roots(field, u), den)
+
+
+def rx_functions_chain(field, u, rho, q):
+    """``omega.rx_functions`` as sums and products of normalized RatFuncs."""
+    u = [field(x) for x in u]
+    rho, q = field(rho), field(q)
+    t = RatFunc.t(field)
+    one = RatFunc.constant(field, 1)
+    G = g_ratfunc(field, u)
+    ginv = G.substitute_inverse_t()
+    delta = q - q.inverse()
+    tt = t * t
+    base = RatFunc.constant(field, rho.inverse() * math.prod(u, start=field.one))
+    if len(u) % 2 == 1:
+        A = base + t * delta / (tt - one)
+    else:
+        A = base - tt * delta / (tt - one)
+    Z = RatFunc.constant(field, -rho.inverse()) + tt * delta / (tt - one) \
+        + A * ginv
+    return G, A, Z
+
+
+def pm_factors_chain(params):
+    """``omega._pm_factors_rat`` as sums and quotients of RatFuncs."""
+    field = params.field
+    delta_inv = (params.q - params.q.inverse()).inverse()
+    rinv = params.rho.inverse()
+    t = RatFunc.t(field)
+    one = RatFunc.constant(field, 1)
+    tt = t * t
+    denom = tt - one
+    left_shift = -(tt / denom) + RatFunc.constant(field, rinv * delta_inv)
+    right_shift = -(one / denom) - RatFunc.constant(field, rinv * delta_inv)
+    rhs = tt / (denom * denom) - RatFunc.constant(field, delta_inv * delta_inv)
+    return left_shift, right_shift, rhs
+
+
+def affine_classify_by_roots(params):
+    """``rationality.affine_classify`` with the chain factors, B from its
+    roots -q and 1/q, and 1/G and rho rebuilt from the recovered roots."""
+    if params.kind != "nondegenerate":
+        raise ParameterError("classification needs non-degenerate parameters")
+    field = params.field
+    delta = checked_delta(params.q)
+    if params.omega.closure is None:
+        raise ParameterError("classification needs a recursion closure "
+                             "(w^+ must be rational)")
+    wp = wplus_ratfunc(params.omega)
+    if wp.num.degree > wp.den.degree:
+        raise ParameterError("w^+ has a pole at infinity")
+    if not wp.den(field.zero):
+        raise ParameterError("w^+ has a pole at 0")
+    h, right_shift, rhs = pm_factors_chain(params)
+    if (wp + h) * (wminus_ratfunc(params.omega) + right_shift) != rhs:
+        raise ClassifyError(
+            "the two-sided product identity fails; the negative-index "
+            "sequence does not match -w^+(1/t)")
+    q = params.q
+    B = RatFunc(Poly.from_roots(field, (-q, q.inverse())),
+                Poly.from_roots(field, (field.one, -field.one)) * delta)
+    R = (wp + h) / B
+    try:
+        roots = R.den.roots_with_multiplicity()
+    except SplitError as ex:
+        raise ClassifyError(
+            f"recovered denominator does not split: {ex}") from ex
+    inv_g = 1 / g_ratfunc(field, roots)
+    if R == inv_g:
+        alpha = 0
+    elif R == -inv_g:
+        alpha = 1
+    else:
+        raise ClassifyError(
+            f"(w^+ + h)/B = {R!r} is not +- a product of factors "
+            "(t u - 1)/(t - u)")
+    expected_rho = math.prod(roots, start=field.one)
+    if alpha:
+        expected_rho = -expected_rho
+    if params.rho != expected_rho:
+        raise ClassifyError(
+            f"rho = {params.rho} differs from (-1)^alpha prod u = {expected_rho}")
+    case, ext = _CASES[(alpha, len(roots) % 2)]
+    extension = tuple(field(e) for e in ext)
+    roots = tuple(sorted(roots, key=_root_key))
+    admissible = roots + extension
+    certificate = rui_xu_check(ParamSet(
+        "nondegenerate", field, admissible, params.omega, rho=params.rho,
+        q=params.q))
+    if not certificate.passed:
+        raise ClassifyError(
+            f"certification failed: {certificate.witness.equation()}")
+    return RationalityClassification(case, alpha, roots, extension,
+                                     admissible, certificate)
+
+
+def power_sums_pow(field, roots, count):
+    """p_1..p_count, p_a = sum x^a, one exponentiation per root and index."""
+    return [sum((x ** a for x in roots), field.zero)
+            for a in range(1, count + 1)]

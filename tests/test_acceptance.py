@@ -17,10 +17,11 @@ from oracles import (draw_degenerate, draw_nondegenerate,
 
 from bmwparam import symfun
 from bmwparam.adm_nondegenerate import rui_xu_check, wilcox_yu_check
-from bmwparam.cli import main
-from bmwparam.diagrams import (count_ideal_spanning, enumerate_diagrams,
-                               enumerate_ideal_spanning, enumerate_regular,
-                               factorize, compose, BrauerDiagram)
+from bmwparam.cli import COUNTS_N_MAX, main
+from bmwparam.diagrams import (count_ideal_spanning, double_factorial_odd,
+                               enumerate_diagrams, enumerate_ideal_spanning,
+                               enumerate_regular, factorize, compose,
+                               BrauerDiagram)
 from bmwparam.fields import QQ, BinaryField, PrimeField
 from bmwparam.mpoly import MPoly
 from bmwparam.omega import (degenerate_params, nondegenerate_params,
@@ -326,6 +327,19 @@ def test_budget_exponent_scalar_refused(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: u[0]:")
     _finish("bmwparam gen-omega refuses an exponent-notation rational",
             started, 1)
+
+
+def test_budget_counts_at_the_n_limit(capsys):
+    # the largest accepted --n; with r = d = 1 every count prints, and the
+    # rank d^n b'(n) + r^n n! is (2n-1)!! itself
+    started = time.monotonic()
+    assert main(["counts", "--n", str(COUNTS_N_MAX), "--r", "1",
+                 "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rank"] == payload["diagrams"] \
+        == double_factorial_odd(COUNTS_N_MAX)
+    assert main(["counts", "--n", str(COUNTS_N_MAX + 1), "--r", "1"]) == 2
+    _finish(f"bmwparam counts --n {COUNTS_N_MAX}", started, 1)
 
 
 def test_budget_factorize_round_trip_all_n6():
